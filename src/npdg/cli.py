@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import GameFileError, SolverError
+from .errors import GameFileError, NpdgError, SolverError
 from .families import FamilyParams, family_x0, generate_family, sweep_delta
 from .gamefiles import load_game, save_game
 from .games import validate_game, validate_potential
@@ -102,6 +102,12 @@ def _load_validated(path, allow_nondiagonal=False, need_potential=False):
     return game, pot
 
 
+def _solve(args, game, pot):
+    nash = solve_coupled_riccati(game, tol=args.tol, max_iter=args.max_iter, damping=args.damping)
+    care = None if pot is None else solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, tol=args.tol)
+    return nash, care
+
+
 def _cmd_validate(args) -> int:
     game, pot = load_game(args.file)
     report = validate_game(game, allow_nondiagonal=args.allow_nondiagonal)
@@ -123,11 +129,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     game, pot = _load_validated(args.file, args.allow_nondiagonal)
-    nash = solve_coupled_riccati(game, tol=args.tol, max_iter=args.max_iter, damping=args.damping)
+    nash, care = _solve(args, game, pot)
     loop = closed_loop_nash(game, nash.P)
     doc = {"nash": nash.to_dict(), "closed_loop": loop.to_dict()}
-    if pot is not None:
-        care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, tol=args.tol)
+    if care is not None:
         doc["potential"] = care.to_dict()
         doc["potential_closed_loop"] = closed_loop_potential(game, pot, care.P[0]).to_dict()
     if args.json:
@@ -144,8 +149,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_distance(args) -> int:
     game, pot = _load_validated(args.file, args.allow_nondiagonal, need_potential=True)
-    nash = solve_coupled_riccati(game, tol=args.tol, max_iter=args.max_iter, damping=args.damping)
-    care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, tol=args.tol)
+    nash, care = _solve(args, game, pot)
     report = delta_star(game, nash.P, pot, care.P[0])
     if args.json:
         print(_dump_json(report.to_dict()))
@@ -162,14 +166,12 @@ def _cmd_simulate(args) -> int:
     game, pot = _load_validated(args.file, args.allow_nondiagonal)
     grid = default_grid(args.t_end, args.points)
     x0 = _parse_x0(args.x0, game.n)
-    nash = solve_coupled_riccati(game, tol=args.tol, max_iter=args.max_iter, damping=args.damping)
-    loop = closed_loop_nash(game, nash.P)
-    traj = simulate_closed_loop(loop.Ac, x0, grid)
+    nash, care = _solve(args, game, pot)
+    traj = simulate_closed_loop(closed_loop_nash(game, nash.P).Ac, x0, grid)
     doc = {"grid": traj.grid.tolist(), "nash_states": traj.states.tolist()}
     header = ["t"] + [f"x{k + 1}" for k in range(game.n)]
     columns = [traj.states]
-    if pot is not None:
-        care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, tol=args.tol)
+    if care is not None:
         ptraj = simulate_closed_loop(closed_loop_potential(game, pot, care.P[0]).Ac, x0, grid)
         doc["potential_states"] = ptraj.states.tolist()
         header += [f"xp{k + 1}" for k in range(game.n)]
@@ -195,13 +197,9 @@ def _cmd_verify(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
     pw = None
-    if args.piecewise:
-        nash = solve_coupled_riccati(game, tol=args.tol, max_iter=args.max_iter, damping=args.damping)
-        care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, tol=args.tol)
-        traj_nash = simulate_closed_loop(closed_loop_nash(game, nash.P).Ac, x0, grid)
-        traj_pot = simulate_closed_loop(closed_loop_potential(game, pot, care.P[0]).Ac, x0, grid)
+    if args.piecewise is not None:
         edges = np.linspace(grid[0], grid[-1], args.piecewise + 1)
-        pw = piecewise_delta(traj_pot, traj_nash, report.delta_star_used, list(zip(edges[:-1], edges[1:])))
+        pw = piecewise_delta(report.traj_pot, report.traj_nash, report.delta_star_used, list(zip(edges[:-1], edges[1:])))
     if args.json:
         doc = report.to_dict()
         if pw is not None:
@@ -342,13 +340,10 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except GameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except (NpdgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

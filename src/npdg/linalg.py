@@ -10,79 +10,24 @@ import numpy as np
 
 from .errors import NonFiniteMatrixError
 
-# Power iteration defaults for the spectral norm.
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 500
-_GRAM_SQUARINGS = 32
-
 
 def frobenius_norm(m) -> float:
     a = np.asarray(m, dtype=float)
     return float(np.sqrt(np.sum(a * a)))
 
 
-def spectral_norm(m, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> float:
-    """Largest singular value, by power iteration on the Gram matrix.
+def spectral_norm(m) -> float:
+    """Largest singular value: LAPACK SVD, capped at the Frobenius norm.
 
-    The Gram matrix is repeatedly squared (and renormalized) before the
-    plain power steps, which collapses the usual slow convergence on
-    clustered spectra; the start vector is all-ones, so the result is
-    reproducible. The returned value is a Rayleigh-quotient estimate and
-    therefore never exceeds the true spectral norm; after scaling by the
-    Frobenius norm it also never exceeds ``frobenius_norm(m)``.
+    The SVD can exceed the Frobenius norm by an ulp on vector-shaped
+    inputs; the cap keeps ``spectral_norm(m) <= frobenius_norm(m)`` exact.
     """
     a = np.atleast_2d(np.asarray(m, dtype=float))
     if a.size == 0:
         return 0.0
     if not np.all(np.isfinite(a)):
         raise NonFiniteMatrixError("spectral norm of a non-finite matrix")
-    scale = float(np.sqrt(np.sum(a * a)))
-    if scale == 0.0:
-        return 0.0
-    b = a / scale  # unit Frobenius norm, so the Gram spectrum sits in (0, 1]
-    g = b.T @ b if b.shape[1] <= b.shape[0] else b @ b.T
-    g = 0.5 * (g + g.T)
-    k = g.shape[0]
-
-    h = g.copy()
-    for _ in range(_GRAM_SQUARINGS):
-        prev = h
-        h = h @ h
-        peak = float(np.max(h.diagonal()))
-        if not np.isfinite(peak) or peak <= 0.0:
-            h = g.copy()
-            break
-        h = h / peak
-        # normalized powers settle on the top-eigenspace projector
-        if float(np.max(np.abs(h - prev))) <= 1e-8:
-            break
-
-    v = h @ np.full(k, 1.0 / np.sqrt(k))
-    nv = float(np.linalg.norm(v))
-    if nv < 1e-150:
-        # all-ones start was (numerically) orthogonal to the top eigenspace
-        v = h[:, int(np.argmax(np.diag(g)))]
-        nv = float(np.linalg.norm(v))
-    if nv < 1e-150:
-        v = np.full(k, 1.0 / np.sqrt(k))
-        nv = 1.0
-    v = v / nv
-
-    est = float(v @ (g @ v))
-    for _ in range(max_iter):
-        w = g @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            est = 0.0
-            break
-        v = w / nw
-        new = float(v @ (g @ v))
-        done = abs(new - est) <= tol * max(new, 1e-300)
-        est = new
-        if done:
-            break
-    est = min(max(est, 0.0), 1.0)
-    return scale * float(np.sqrt(est))
+    return min(float(np.linalg.norm(a, 2)), frobenius_norm(a))
 
 
 def max_real_eigenvalue(m) -> float:

@@ -23,7 +23,14 @@ import numpy as np
 from .errors import BlockMismatchError, GridMismatchError, NotNormalizedError
 from .games import GameSpec, PotentialSpec
 from .linalg import frobenius_norm, spectral_norm
-from .riccati import closed_loop_nash, closed_loop_potential
+from .riccati import (
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITER_COUPLED,
+    closed_loop_nash,
+    closed_loop_potential,
+    solve_care,
+    solve_coupled_riccati,
+)
 
 EXACTNESS_TOL = 1e-8
 
@@ -122,12 +129,16 @@ def delta_star(
     )
 
 
-def is_exact_potential(game: GameSpec, pot: PotentialSpec, tol: float = EXACTNESS_TOL, **solver_options) -> bool:
-    """Solve both sides and test whether the distance vanishes within tol."""
-    from .riccati import solve_care, solve_coupled_riccati
-
-    nash = solve_coupled_riccati(game, **solver_options)
-    care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, **solver_options)
+def is_exact_potential(
+    game: GameSpec,
+    pot: PotentialSpec,
+    tol: float = EXACTNESS_TOL,
+    max_iter: int = DEFAULT_MAX_ITER_COUPLED,
+    damping: float = DEFAULT_DAMPING,
+) -> bool:
+    """Solve both sides and test whether the distance vanishes within tol; max_iter and damping tune the coupled solve."""
+    nash = solve_coupled_riccati(game, max_iter=max_iter, damping=damping)
+    care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp)
     return delta_star(game, nash.P, pot, care.P[0], tolerance=tol).is_exact
 
 

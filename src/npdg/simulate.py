@@ -124,13 +124,22 @@ def trajectory_error(traj_pot: Trajectory, traj_nash: Trajectory) -> np.ndarray:
     return np.linalg.norm(traj_pot.states - traj_nash.states, axis=1)
 
 
-def c_npdg_bound(t: float, x0, Bp, n_players: int, ac_nash, ac_pot, delta_star_value: float) -> float:
-    """Bound value ||x0|| ||Bp|| N t exp(t max(||Ac_pot||,||Ac_nash||)) delta*."""
-    if t < 0:
+def _bound(t, x0, bp_norm: float, n_players: int, rate: float, delta_star_value: float):
+    coeff = float(np.linalg.norm(x0)) * bp_norm * n_players * delta_star_value
+    return coeff * t * np.exp(t * rate)
+
+
+def c_npdg_bound(t, x0, Bp, n_players: int, ac_nash, ac_pot, delta_star_value: float):
+    """Bound value ||x0|| ||Bp|| N t exp(t max(||Ac_pot||,||Ac_nash||)) delta*.
+
+    ``t`` is a time or an array of times; the result has the same shape.
+    """
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
         raise ValueError(f"t must be >= 0, got {t}")
     rate = max(spectral_norm(ac_pot), spectral_norm(ac_nash))
-    x0_norm = float(np.linalg.norm(np.asarray(x0, dtype=float)))
-    return x0_norm * spectral_norm(Bp) * n_players * t * float(np.exp(t * rate)) * delta_star_value
+    bound = _bound(times, np.asarray(x0, dtype=float), spectral_norm(Bp), n_players, rate, delta_star_value)
+    return bound if times.ndim else float(bound)
 
 
 @dataclass
@@ -149,6 +158,8 @@ class BoundReport:
     growth_rate: float  # max of the two closed-loop spectral norms
     ac_nash: np.ndarray
     ac_pot: np.ndarray
+    traj_nash: Trajectory
+    traj_pot: Trajectory
     label: str | None = None
 
     def max_error(self) -> float:
@@ -189,13 +200,8 @@ class BoundReport:
 
 
 def _margins(error: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    margin = np.empty_like(error)
-    for idx, (e, b) in enumerate(zip(error, bound)):
-        if b == 0.0:
-            margin[idx] = 0.0 if e == 0.0 else np.inf
-        else:
-            margin[idx] = e / b
-    return margin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(bound == 0.0, np.where(error == 0.0, 0.0, np.inf), error / bound)
 
 
 def verify_bound(
@@ -229,10 +235,10 @@ def verify_bound(
 
     rate = max(spectral_norm(loop_pot.Ac), spectral_norm(loop_nash.Ac))
     bp_norm = spectral_norm(pot.Bp)
-    coeff = float(np.linalg.norm(x0)) * bp_norm * game.n_players * dist.delta_star
-    bound = coeff * g * np.exp(g * rate)
+    bound = _bound(g, x0, bp_norm, game.n_players, rate, dist.delta_star)
     margin = _margins(error, bound)
-    holds = bool(np.all(error <= bound + BOUND_SLACK))
+    # an overflowed bound would pass every error vacuously
+    holds = bool(np.all(np.isfinite(bound)) and np.all(error <= bound + BOUND_SLACK))
     return BoundReport(
         grid=g,
         error=error,
@@ -246,6 +252,8 @@ def verify_bound(
         growth_rate=rate,
         ac_nash=loop_nash.Ac,
         ac_pot=loop_pot.Ac,
+        traj_nash=traj_nash,
+        traj_pot=traj_pot,
         label=game.label,
     )
 

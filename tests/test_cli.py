@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from npdg import save_game
+from npdg import (
+    closed_loop_nash,
+    closed_loop_potential,
+    default_grid,
+    delta_star,
+    load_game,
+    piecewise_delta,
+    save_game,
+    simulate_closed_loop,
+    solve_care,
+    solve_coupled_riccati,
+)
 from npdg.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, cli_main
 
 from conftest import scalar_pair
@@ -108,10 +119,36 @@ class TestVerify:
         assert lines[0] == "t,error,bound,margin"
         assert len(lines) == 12
 
-    def test_piecewise(self, pair_file, capsys):
-        assert cli_main(["verify", pair_file, "--x0", "1", "--t-end", "4", "--points", "201", "--piecewise", "4"]) == EXIT_OK
+    def test_piecewise(self, tmp_path, capsys):
+        # on this family and x0 each trajectory has the larger norm on some interval
+        path = str(tmp_path / "family.json")
+        assert cli_main(["generate", "--n", "2", "--players", "2", "--delta", "0.3", "--seed", "0", "-o", path]) == EXIT_OK
+        argv = ["verify", path, "--x0", "0,0,0,1", "--t-end", "4", "--points", "201"]
+        capsys.readouterr()
+        assert cli_main(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert cli_main(argv + ["--piecewise", "4"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "k,t_start,t_end,delta_k" in out
+        assert out.startswith(plain)
+
+        game, pot = load_game(path)
+        nash = solve_coupled_riccati(game)
+        care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp)
+        grid = default_grid(4.0, 201)
+        x0 = [0.0, 0.0, 0.0, 1.0]
+        tn = simulate_closed_loop(closed_loop_nash(game, nash.P).Ac, x0, grid)
+        tp = simulate_closed_loop(closed_loop_potential(game, pot, care.P[0]).Ac, x0, grid)
+        dist = delta_star(game, nash.P, pot, care.P[0]).delta_star
+        pw = piecewise_delta(tp, tn, dist, [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])
+        assert out[len(plain) :] == pw.to_csv()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--piecewise", "-1"], ["--points", "1", "--piecewise", "2"], ["--piecewise", "0"]],
+    )
+    def test_bad_piecewise_rejected(self, pair_file, capsys, extra):
+        assert cli_main(["verify", pair_file, "--x0", "1", *extra]) == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
 
     def test_json(self, pair_file, capsys):
         assert cli_main(["verify", pair_file, "--x0", "1", "--json"]) == EXIT_OK

@@ -52,6 +52,12 @@ class TestSpectralNorm:
         for _ in range(500):
             m = rng.normal(size=(rng.integers(1, 7), rng.integers(1, 7)))
             assert spectral_norm(m) <= frobenius_norm(m)
+        # vector shapes are where a raw SVD overshoots by an ulp
+        for k in range(1, 9):
+            for shape in ((1, k), (k, 1)):
+                for _ in range(100):
+                    m = rng.normal(size=shape)
+                    assert spectral_norm(m) <= frobenius_norm(m)
 
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteMatrixError):

@@ -18,6 +18,7 @@ from npdg import (
     verify_bound,
 )
 from npdg.families import FamilyParams, family_x0, generate_family
+from npdg.simulate import _margins
 
 from conftest import SCALAR_AC_NASH, SCALAR_AC_POT, SCALAR_D, random_hurwitz
 
@@ -117,6 +118,17 @@ class TestBoundCoefficient:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             c_npdg_bound(-0.1, [1.0], [[1.0]], 1, [[-1.0]], [[-1.0]], 0.1)
+        with pytest.raises(ValueError):
+            c_npdg_bound([0.0, -0.1], [1.0], [[1.0]], 1, [[-1.0]], [[-1.0]], 0.1)
+
+    def test_scalar_time_gives_float(self):
+        assert isinstance(c_npdg_bound(1.0, [1.0], [[1.0]], 1, [[-1.0]], [[-1.0]], 0.1), float)
+
+    def test_matches_verify_bound_series(self):
+        game, pot = generate_family(FamilyParams(n_per_block=2, n_players=2, delta=0.05, seed=4))
+        report = verify_bound(game, pot)
+        series = c_npdg_bound(report.grid, report.x0, pot.Bp, report.n_players, report.ac_nash, report.ac_pot, report.delta_star_used)
+        assert np.array_equal(series, report.bound)
 
 
 class TestVerifyBound:
@@ -148,6 +160,17 @@ class TestVerifyBound:
         for key in ("grid", "error", "bound", "margin", "holds", "delta_star_used", "x0", "ac_nash", "ac_pot"):
             assert key in doc
         assert doc["label"] == game.label
+
+    def test_overflowing_bound_does_not_hold(self):
+        game, pot = generate_family(FamilyParams(n_per_block=2, n_players=2, delta=0.05, seed=3))
+        with np.errstate(over="ignore"):
+            report = verify_bound(game, pot, grid=np.linspace(0, 600, 201))
+        assert not np.isfinite(report.bound[-1])
+        assert not report.holds
+
+    def test_margin_rules(self):
+        margin = _margins(np.array([0.0, 1.0, 2.0, 0.0]), np.array([0.0, 0.0, 4.0, 3.0]))
+        assert margin.tolist() == [0.0, np.inf, 0.5, 0.0]
 
     def test_csv_header_and_width(self, pair):
         game, pot = pair
