@@ -15,13 +15,12 @@ import sys
 
 import numpy as np
 
-from .errors import GameFileError, NpdgError, SolverError
+from .errors import GameFileError, NpdgError, PartitionError, SolverError
 from .families import FamilyParams, family_x0, generate_family, sweep_delta
 from .gamefiles import load_game, save_game
 from .games import validate_game, validate_potential
 from .metrics import delta_star
 from .riccati import (
-    DEFAULT_DAMPING,
     DEFAULT_MAX_ITER_COUPLED,
     DEFAULT_TOL,
     closed_loop_nash,
@@ -63,7 +62,6 @@ def _fallback_seed(value) -> int:
 def _add_solver_flags(sub):
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance (spectral norm)")
     sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER_COUPLED, help="outer iteration budget")
-    sub.add_argument("--damping", type=float, default=DEFAULT_DAMPING, help="gain damping factor in (0, 1]")
 
 
 def _add_grid_flags(sub):
@@ -103,7 +101,7 @@ def _load_validated(path, allow_nondiagonal=False, need_potential=False):
 
 
 def _solve(args, game, pot):
-    nash = solve_coupled_riccati(game, tol=args.tol, max_iter=args.max_iter, damping=args.damping)
+    nash = solve_coupled_riccati(game, tol=args.tol, max_iter=args.max_iter)
     care = None if pot is None else solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, tol=args.tol)
     return nash, care
 
@@ -192,7 +190,9 @@ def _cmd_verify(args) -> int:
     game, pot = _load_validated(args.file, args.allow_nondiagonal, need_potential=True)
     grid = default_grid(args.t_end, args.points)
     x0 = _parse_x0(args.x0, game.n)
-    report = verify_bound(game, pot, x0=x0, grid=grid, tol=args.tol, max_iter=args.max_iter, damping=args.damping)
+    if args.piecewise is not None and not 1 <= args.piecewise <= args.points - 1:
+        raise PartitionError(f"--piecewise must lie in 1..{args.points - 1} (points - 1), got {args.piecewise}")
+    report = verify_bound(game, pot, x0=x0, grid=grid, tol=args.tol, max_iter=args.max_iter)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
@@ -236,7 +236,6 @@ def _cmd_sweep(args) -> int:
         points=args.points,
         tol=args.tol,
         max_iter=args.max_iter,
-        damping=args.damping,
     )
     if args.json:
         print(_dump_json(report.to_dict()))

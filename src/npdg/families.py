@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SolverError
 from .games import GameSpec, PlayerSpec, PotentialSpec, make_potential
 from .linalg import max_real_eigenvalue, spectral_norm
-from .riccati import DEFAULT_DAMPING, DEFAULT_MAX_ITER_COUPLED, DEFAULT_TOL
+from .riccati import DEFAULT_MAX_ITER_COUPLED, DEFAULT_TOL
 from .simulate import default_grid, verify_bound
 
 
@@ -204,7 +204,6 @@ def sweep_delta(
     points: int = 201,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER_COUPLED,
-    damping: float = DEFAULT_DAMPING,
 ) -> SweepReport:
     """Run the full pipeline per coupling level and fit error against distance.
 
@@ -225,7 +224,7 @@ def sweep_delta(
     for d in grid_in:
         game, pot = generate_family(replace(params, delta=d))
         try:
-            report = verify_bound(game, pot, x0=x0, grid=time_grid, tol=tol, max_iter=max_iter, damping=damping)
+            report = verify_bound(game, pot, x0=x0, grid=time_grid, tol=tol, max_iter=max_iter)
         except SolverError as exc:
             rows.append(SweepRow(d, float("nan"), float("nan"), float("nan"), holds=False, failure=str(exc)))
             continue

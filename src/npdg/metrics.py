@@ -24,7 +24,6 @@ from .errors import BlockMismatchError, GridMismatchError, NotNormalizedError
 from .games import GameSpec, PotentialSpec
 from .linalg import frobenius_norm, spectral_norm
 from .riccati import (
-    DEFAULT_DAMPING,
     DEFAULT_MAX_ITER_COUPLED,
     closed_loop_nash,
     closed_loop_potential,
@@ -134,10 +133,9 @@ def is_exact_potential(
     pot: PotentialSpec,
     tol: float = EXACTNESS_TOL,
     max_iter: int = DEFAULT_MAX_ITER_COUPLED,
-    damping: float = DEFAULT_DAMPING,
 ) -> bool:
-    """Solve both sides and test whether the distance vanishes within tol; max_iter and damping tune the coupled solve."""
-    nash = solve_coupled_riccati(game, max_iter=max_iter, damping=damping)
+    """Solve both sides and test whether the distance vanishes within tol; max_iter bounds the coupled solve."""
+    nash = solve_coupled_riccati(game, max_iter=max_iter)
     care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp)
     return delta_star(game, nash.P, pot, care.P[0], tolerance=tol).is_exact
 

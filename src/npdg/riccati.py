@@ -4,11 +4,12 @@ equilibrium, plus the closed-loop system matrices they induce.
 The single-agent continuous-time algebraic Riccati equation is solved by
 Newton iteration on the gain (repeated Lyapunov solves), started from a
 stabilizing gain obtained by eigenvalue shifting. The coupled equations of
-the N-player game are solved by a damped fixed point: at every outer step
-each player solves a single-agent problem against the other players' frozen
-gains, and the gains are blended with a damping factor. Fixed points of
-that map satisfy the player-wise stationarity residual evaluated by
-``coupled_residuals``, which is the solver-independent convergence oracle.
+the N-player game are solved by simultaneous policy iteration (the Lyapunov
+iterations of Li & Gajic, 1995): every sweep evaluates all players' costs
+under the shared closed loop with one Lyapunov solve each and then moves
+every gain to its player's best response. Fixed points of that map satisfy
+the player-wise stationarity residual evaluated by ``coupled_residuals``,
+which is the solver-independent convergence oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ log = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER_CARE = 50
 DEFAULT_MAX_ITER_COUPLED = 200
-DEFAULT_DAMPING = 0.5
 DIVERGENCE_GUARD = 1e12
 
 
@@ -129,7 +129,7 @@ def _stabilizing_gain(A, B) -> np.ndarray:
     raise NotStabilizableError("no stabilizing initial gain found (pair may not be stabilizable)")
 
 
-def _newton_care(A, B, Q, R, tol, max_iter, init_gain=None):
+def _newton_care(A, B, Q, R, tol, max_iter):
     """Newton iteration for the stabilizing CARE solution.
 
     Returns (P, spectral residual, iterations). Iterates until the residual
@@ -137,7 +137,7 @@ def _newton_care(A, B, Q, R, tol, max_iter, init_gain=None):
     normally lands near machine precision). The loop is steered by the
     Frobenius norm, which upper-bounds the reported spectral norm.
     """
-    k = _stabilizing_gain(A, B) if init_gain is None else np.asarray(init_gain, dtype=float)
+    k = _stabilizing_gain(A, B)
     target = 1e-4 * tol
     best_p = None
     best_res = np.inf
@@ -228,18 +228,20 @@ def solve_coupled_riccati(
     game: GameSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER_COUPLED,
-    damping: float = DEFAULT_DAMPING,
 ) -> RiccatiSolution:
     """Feedback Nash solution {P_i} of the coupled Riccati equations.
 
-    Damped Jacobi sweep: every player solves a single-agent problem with
-    drift A - sum_{j != i} B_j K_j and state cost Q_i + sum K_j' R_ij K_j,
-    all against the gains frozen at the start of the sweep; gains are then
-    blended with the damping factor. Convergence is declared on the
-    candidate set, judged by ``coupled_residuals``.
+    Simultaneous policy iteration from a jointly stabilizing gain set: each
+    sweep forms the shared closed loop Ac = A - sum_j B_j K_j, evaluates
+    every player by one Lyapunov solve
+
+        Ac' P_i + P_i Ac + Q_i + sum_j K_j' R_ij K_j = 0
+
+    and sets K_i = R_ii^-1 B_i' P_i for the next sweep. A sweep whose closed
+    loop is not Hurwitz raises NotStabilizableError, so a returned solution
+    always comes from a stabilizing gain set. Convergence is declared on
+    the evaluated set, judged by ``coupled_residuals``.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     n = game.n
     n_players = game.n_players
     A = game.A
@@ -260,27 +262,15 @@ def solve_coupled_riccati(
     history: list[float] = []
     best: tuple[float, list[np.ndarray], list[float], int] | None = None
     for outer in range(1, max_iter + 1):
-        candidates = []
-        new_gains = []
-        for i, pl in enumerate(game.players):
-            drift = A.copy()
-            cost = np.asarray(pl.Q, dtype=float).copy()
-            for j in range(n_players):
-                if j == i:
-                    continue
-                drift -= bs[j] @ gains[j]
-                rij = game.cross_R(i, j)
-                if np.any(rij):
-                    cost += gains[j].T @ rij @ gains[j]
-            cost = 0.5 * (cost + cost.T)
-            init = gains[i] if is_hurwitz(drift - bs[i] @ gains[i]) else None
-            p, _, _ = _newton_care(drift, bs[i], cost, rs[i], tol, DEFAULT_MAX_ITER_CARE, init_gain=init)
-            if p is None or not np.all(np.isfinite(p)):
-                raise NotStabilizableError(f"player {i + 1} best response failed at outer iteration {outer}")
-            candidates.append(p)
-            new_gains.append(np.linalg.solve(rs[i], bs[i].T @ p))
+        ac = A - sum(b @ k for b, k in zip(bs, gains))
+        if not is_hurwitz(ac):
+            raise NotStabilizableError(f"closed loop not stabilizing at outer iteration {outer}")
+        candidates = [
+            solve_lyapunov(ac, pl.Q + sum(k.T @ game.cross_R(i, j) @ k for j, k in enumerate(gains)))
+            for i, pl in enumerate(game.players)
+        ]
 
-        if max(frobenius_norm(p) for p in candidates) > DIVERGENCE_GUARD:
+        if not max(frobenius_norm(p) for p in candidates) <= DIVERGENCE_GUARD:  # NaN trips it too
             raise DivergedError(f"iterate norm exceeded {DIVERGENCE_GUARD:.1e} at outer iteration {outer}")
 
         residuals = coupled_residuals(game, candidates)
@@ -299,7 +289,7 @@ def solve_coupled_riccati(
                 tol=tol,
                 residual_history=history,
             )
-        gains = [g + damping * (ng - g) for g, ng in zip(gains, new_gains)]
+        gains = [np.linalg.solve(r, b.T @ p) for r, b, p in zip(rs, bs, candidates)]
 
     if best is not None and best[0] <= tol:
         return RiccatiSolution(

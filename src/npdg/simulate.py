@@ -23,7 +23,6 @@ from .games import GameSpec, PotentialSpec
 from .linalg import _expm_core, spectral_norm
 from .metrics import delta_star
 from .riccati import (
-    DEFAULT_DAMPING,
     DEFAULT_MAX_ITER_COUPLED,
     DEFAULT_TOL,
     closed_loop_nash,
@@ -126,6 +125,8 @@ def trajectory_error(traj_pot: Trajectory, traj_nash: Trajectory) -> np.ndarray:
 
 def _bound(t, x0, bp_norm: float, n_players: int, rate: float, delta_star_value: float):
     coeff = float(np.linalg.norm(x0)) * bp_norm * n_players * delta_star_value
+    if coeff == 0.0:  # zero distance: zero bound, even where exp(t * rate) overflows
+        return np.zeros_like(t)
     return coeff * t * np.exp(t * rate)
 
 
@@ -211,7 +212,6 @@ def verify_bound(
     grid=None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER_COUPLED,
-    damping: float = DEFAULT_DAMPING,
 ) -> BoundReport:
     """Run the full pipeline and check error(t) <= bound(t) on the grid.
 
@@ -223,7 +223,7 @@ def verify_bound(
         x0 = np.full(game.n, 1.0 / np.sqrt(game.n))
     x0 = np.asarray(x0, dtype=float).reshape(-1)
 
-    nash = solve_coupled_riccati(game, tol=tol, max_iter=max_iter, damping=damping)
+    nash = solve_coupled_riccati(game, tol=tol, max_iter=max_iter)
     care = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp, tol=tol)
     loop_nash = closed_loop_nash(game, nash.P)
     loop_pot = closed_loop_potential(game, pot, care.P[0])

@@ -146,9 +146,11 @@ class TestVerify:
         "extra",
         [["--piecewise", "-1"], ["--points", "1", "--piecewise", "2"], ["--piecewise", "0"]],
     )
-    def test_bad_piecewise_rejected(self, pair_file, capsys, extra):
-        assert cli_main(["verify", pair_file, "--x0", "1", *extra]) == EXIT_VALIDATION
+    def test_bad_piecewise_rejected(self, pair_file, capsys, tmp_path, extra):
+        csv = tmp_path / "r.csv"
+        assert cli_main(["verify", pair_file, "--x0", "1", "--csv", str(csv), *extra]) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_json(self, pair_file, capsys):
         assert cli_main(["verify", pair_file, "--x0", "1", "--json"]) == EXIT_OK

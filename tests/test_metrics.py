@@ -92,12 +92,12 @@ class TestExactness:
     def test_scalar_pair_not_exact(self, pair):
         game, pot = pair
         assert not is_exact_potential(game, pot)
-        assert not is_exact_potential(game, pot, damping=0.7)
+        assert not is_exact_potential(game, pot, max_iter=300)
 
     def test_decoupled_family_exact(self):
         game, pot = generate_family(FamilyParams(n_per_block=1, n_players=2, delta=0.0, seed=9))
         assert is_exact_potential(game, pot)
-        assert is_exact_potential(game, pot, max_iter=300, damping=0.7)
+        assert is_exact_potential(game, pot, max_iter=300)
 
     def test_zero_law(self):
         # vanishing distance forces coinciding closed loops and trajectories

@@ -7,6 +7,7 @@ from npdg import (
     MaxIterationsError,
     NotStabilizableError,
     PlayerSpec,
+    SolverError,
     care_residual,
     closed_loop_nash,
     closed_loop_potential,
@@ -16,7 +17,8 @@ from npdg import (
     solve_coupled_riccati,
 )
 from npdg.families import FamilyParams, generate_family
-from npdg.linalg import max_real_eigenvalue
+from npdg import riccati
+from npdg.linalg import is_hurwitz, max_real_eigenvalue, solve_lyapunov
 
 from conftest import random_hurwitz, scalar_pair, single_player_game
 
@@ -164,15 +166,22 @@ class TestCoupled:
         with pytest.raises(MaxIterationsError):
             solve_coupled_riccati(game, max_iter=1)
 
-    def test_damping_validated(self, pair):
-        game, _ = pair
-        with pytest.raises(ValueError):
-            solve_coupled_riccati(game, damping=0.0)
+    def test_never_returns_non_stabilizing(self):
+        game, _ = generate_family(FamilyParams(n_per_block=1, n_players=3, delta=2.0, seed=59))
+        try:
+            sol = solve_coupled_riccati(game)
+        except SolverError:
+            return
+        assert is_hurwitz(closed_loop_nash(game, sol.P).Ac)
 
-    def test_undamped_still_converges(self, pair):
-        game, _ = pair
-        sol = solve_coupled_riccati(game, damping=1.0)
-        assert sol.P[0][0, 0] == pytest.approx(3**-0.5, abs=1e-8)
+    def test_one_lyapunov_solve_per_player_per_sweep(self, monkeypatch):
+        game, _ = generate_family(FamilyParams(n_per_block=2, n_players=3, delta=0.1, seed=4))
+        assert is_hurwitz(game.A)  # zero initial gains: no Lyapunov solve before the first sweep
+        calls = []
+        monkeypatch.setattr(riccati, "solve_lyapunov", lambda f, w: calls.append(1) or solve_lyapunov(f, w))
+        monkeypatch.setattr(riccati, "_newton_care", None)
+        sol = solve_coupled_riccati(game)
+        assert len(calls) == game.n_players * len(sol.residual_history)
 
 
 class TestClosedLoops:

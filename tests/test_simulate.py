@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,14 @@ class TestVerifyBound:
             report = verify_bound(game, pot, grid=np.linspace(0, 600, 201))
         assert not np.isfinite(report.bound[-1])
         assert not report.holds
+
+    def test_zero_distance_long_horizon_holds(self):
+        game, pot = generate_family(FamilyParams(2, 2, 0.0, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_bound(game, pot, grid=default_grid(600.0))
+        assert report.holds
+        assert np.all(np.isfinite(report.margin))
 
     def test_margin_rules(self):
         margin = _margins(np.array([0.0, 1.0, 2.0, 0.0]), np.array([0.0, 0.0, 4.0, 3.0]))
