@@ -76,26 +76,34 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
-def _expm_core(a: np.ndarray, norm: float) -> np.ndarray:
-    """Scaling-and-squaring exponential, with the spectral norm supplied."""
-    n = a.shape[0]
-    if norm == 0.0:
-        return np.eye(n)
-    squarings = 0
-    if norm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm / _PADE13_THETA)))
-        a = a / (2.0**squarings)
+def _expm_core(a: np.ndarray, norm) -> np.ndarray:
+    """Scaling-and-squaring exponential of a stack, spectral norms supplied.
+
+    ``a`` has shape (k, n, n) and ``norm`` holds one spectral norm per
+    matrix. Each matrix is scaled by its own power of two
+    2^ceil(log2(norm / theta13)), the scaled stack goes through one Pade-13
+    evaluation and one broadcast solve, and each result is squared back as
+    often as it was scaled. Every member comes out bit-identical to the
+    exponential of that matrix alone; zero-norm members are the identity.
+    """
+    norm = np.asarray(norm, dtype=float)
+    ident = np.eye(a.shape[-1])
+    squarings = np.zeros(norm.shape, dtype=int)
+    big = norm > _PADE13_THETA
+    squarings[big] = np.ceil(np.log2(norm[big] / _PADE13_THETA))
+    a = a / (2.0**squarings)[:, None, None]
 
     b = _PADE13_B
-    ident = np.eye(n)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    for k in range(squarings.max()):
+        sel = squarings > k
+        r[sel] = r[sel] @ r[sel]
+    r[norm == 0.0] = ident
     return r
 
 
@@ -109,4 +117,4 @@ def matrix_exponential(m):
         raise ValueError(f"matrix_exponential expects a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteMatrixError("matrix_exponential of a non-finite matrix")
-    return _expm_core(a, spectral_norm(a))
+    return _expm_core(a[None], [spectral_norm(a)])[0]

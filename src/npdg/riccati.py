@@ -14,6 +14,7 @@ which is the solver-independent convergence oracle.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .errors import (
     DivergedError,
     MaxIterationsError,
     NotStabilizableError,
+    SolverError,
 )
 from .games import GameSpec, PotentialSpec, aggregate_inputs
 from .linalg import frobenius_norm, is_hurwitz, max_real_eigenvalue, solve_lyapunov, spectral_norm
@@ -75,6 +77,23 @@ class ClosedLoop:
             "gains": [k.tolist() for k in self.gains],
             "stable": self.stable,
         }
+
+
+def _solver_boundary(solver):
+    """Report a singular linear solve inside ``solver`` as a SolverError.
+
+    numpy's LinAlgError subclasses ValueError, which callers read as bad
+    input; a solve that breaks down mid-iteration is a solver failure.
+    """
+
+    @functools.wraps(solver)
+    def wrapper(*args, **kwargs):
+        try:
+            return solver(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"linear solve failed: {exc}") from exc
+
+    return wrapper
 
 
 def _as_square(m, name) -> np.ndarray:
@@ -164,6 +183,7 @@ def _newton_care(A, B, Q, R, tol, max_iter):
     return best_p, care_residual(A, B, Q, R, best_p), iterations
 
 
+@_solver_boundary
 def solve_care(A, B, Q, R, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER_CARE) -> RiccatiSolution:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
@@ -224,6 +244,7 @@ def coupled_residuals(game: GameSpec, P: list[np.ndarray]) -> list[float]:
     return out
 
 
+@_solver_boundary
 def solve_coupled_riccati(
     game: GameSpec,
     tol: float = DEFAULT_TOL,

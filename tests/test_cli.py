@@ -17,7 +17,7 @@ from npdg import (
 )
 from npdg.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, cli_main
 
-from conftest import scalar_pair
+from conftest import scalar_pair, single_player_game
 
 BAD_GAME = {
     "n": 1,
@@ -68,6 +68,18 @@ class TestExitCodes:
         path.write_text(json.dumps(UNSTABLE_GAME))
         assert cli_main(["solve", str(path)]) == EXIT_SOLVER
         assert "solver error" in capsys.readouterr().err
+
+    def test_singular_solve_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # Hurwitz A: the coupled solve reaches solve_lyapunov without a shift
+        path = tmp_path / "stable.json"
+        save_game(path, single_player_game(a=-1.0), None)
+
+        def singular(f, w):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("npdg.riccati.solve_lyapunov", singular)
+        assert cli_main(["solve", str(path)]) == EXIT_SOLVER
+        assert "solver error: linear solve failed: Singular matrix" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert cli_main(["validate", str(tmp_path / "nope.json")]) == EXIT_VALIDATION

@@ -134,6 +134,16 @@ class TestSweep:
             ratios = [r.max_error / r.delta_star for r in report.rows[:2]]
             assert abs(ratios[1] - ratios[0]) < 0.1 * abs(ratios[0]), f"seed {seed}: {ratios}"
 
+    def test_singular_solve_records_failed_rows(self, monkeypatch):
+        def singular(f, w):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("npdg.riccati.solve_lyapunov", singular)
+        params = FamilyParams(n_per_block=1, n_players=2, delta=0.0, seed=0)
+        report = sweep_delta(params, [0.0, 0.01])
+        assert report.failed
+        assert [r.failure for r in report.rows] == ["linear solve failed: Singular matrix"] * 2
+
     def test_csv_layout(self):
         params = FamilyParams(n_per_block=1, n_players=2, delta=0.0, seed=0)
         report = sweep_delta(params, [0.0, 0.01])

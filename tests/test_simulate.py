@@ -1,7 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npdg import (
     GridMismatchError,
@@ -20,7 +24,8 @@ from npdg import (
     verify_bound,
 )
 from npdg.families import FamilyParams, family_x0, generate_family
-from npdg.simulate import _margins
+from npdg.linalg import _PADE13_THETA, matrix_exponential, spectral_norm
+from npdg.simulate import _STACK_ENTRIES, _margins
 
 from conftest import SCALAR_AC_NASH, SCALAR_AC_POT, SCALAR_D, random_hurwitz
 
@@ -53,8 +58,67 @@ class TestSimulate:
             simulate_closed_loop([[-1.0]], [1.0], [])
 
     def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            simulate_closed_loop(np.eye(2), [1.0], [0.0, 1.0])
+        for simulate in (simulate_closed_loop, rk4_reference):
+            with pytest.raises(ValueError, match="x0 has dimension 1, system has 2"):
+                simulate(np.eye(2), [1.0], [0.0, 1.0])
+            with pytest.raises(ValueError, match="non-finite"):
+                simulate([[np.nan]], [1.0], [0.0, 1.0])
+            with pytest.raises(ValueError, match="square"):
+                simulate(np.ones((2, 3)), [1.0, 1.0], [0.0, 1.0])
+
+
+class TestStackedExponential:
+    """Blocked, stacked evaluation reproduces the per-point exponential exactly."""
+
+    @staticmethod
+    def _assert_pointwise_exact(ac, x0, grid):
+        traj = simulate_closed_loop(ac, x0, grid)
+        for k, t in enumerate(grid):
+            assert np.array_equal(traj.states[k], matrix_exponential(ac * t) @ x0), f"t = {t}"
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 40])
+    def test_bit_identical_to_matrix_exponential(self, n):
+        rng = np.random.default_rng(40 + n)
+        ac = random_hurwitz(rng, n, margin=1.0)
+        x0 = rng.normal(size=n)
+        grid = np.linspace(0.0, 50.0, 201)
+        assert grid[-1] * spectral_norm(ac) > 2**3 * _PADE13_THETA  # several squaring depths
+        if n == 40:
+            assert grid.size - 1 > _STACK_ENTRIES // n**2  # more than one block
+        self._assert_pointwise_exact(ac, x0, grid)
+
+    def test_zero_matrix_and_one_point_grid(self):
+        x0 = np.array([0.5, -1.5, 2.0])
+        self._assert_pointwise_exact(np.zeros((3, 3)), x0, np.linspace(0.0, 4.0, 9))
+        traj = simulate_closed_loop(random_hurwitz(np.random.default_rng(1), 3), x0, [0.0])
+        assert traj.states.shape == (1, 3)
+        assert np.array_equal(traj.states[0], x0)
+
+    def test_memory_bounded_by_block(self):
+        # an unblocked stack of 2001 40x40 matrices peaks above 200 MB
+        rng = np.random.default_rng(7)
+        ac = random_hurwitz(rng, 40)
+        x0 = rng.normal(size=40)
+        grid = np.linspace(0.0, 2.0, 2001)
+        tracemalloc.start()
+        try:
+            simulate_closed_loop(ac, x0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(min_value=1.0, max_value=1e3))
+    def test_large_t_norm_against_scipy(self, n, seed, span):
+        rng = np.random.default_rng(seed)
+        ac = random_hurwitz(rng, n)
+        x0 = rng.normal(size=n)
+        grid = np.linspace(0.0, span / spectral_norm(ac), 41)  # t ||Ac|| up to span
+        states = simulate_closed_loop(ac, x0, grid).states
+        ref = np.array([sla.expm(ac * t) @ x0 for t in grid])
+        scale = max(1.0, float(np.max(np.linalg.norm(ref, axis=1))))
+        assert np.max(np.abs(states - ref)) <= 1e-12 * scale
 
 
 class TestRk4Reference:
