@@ -6,10 +6,11 @@ Newton iteration on the gain (repeated Lyapunov solves), started from a
 stabilizing gain obtained by eigenvalue shifting. The coupled equations of
 the N-player game are solved by simultaneous policy iteration (the Lyapunov
 iterations of Li & Gajic, 1995): every sweep evaluates all players' costs
-under the shared closed loop with one Lyapunov solve each and then moves
-every gain to its player's best response. Fixed points of that map satisfy
-the player-wise stationarity residual evaluated by ``coupled_residuals``,
-which is the solver-independent convergence oracle.
+under the shared closed loop with one stacked Lyapunov solve (one
+right-hand side per player) and then moves every gain to its player's best
+response. Fixed points of that map satisfy the player-wise stationarity
+residual evaluated by ``coupled_residuals``, which is the
+solver-independent convergence oracle.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _stabilizing_gain(A, B) -> np.ndarray:
     for _ in range(6):
         shifted = (A + beta * np.eye(n)).T
         try:
-            z = solve_lyapunov(shifted, -2.0 * (B @ B.T))
+            z = solve_lyapunov(shifted, -2.0 * (B @ B.T), stable=False)
             k = np.linalg.solve(z, B).T
         except np.linalg.LinAlgError:
             beta *= 2.0
@@ -254,9 +255,9 @@ def solve_coupled_riccati(
 
     Simultaneous policy iteration from a jointly stabilizing gain set: each
     sweep forms the shared closed loop Ac = A - sum_j B_j K_j, evaluates
-    every player by one Lyapunov solve
+    every player by one stacked Lyapunov solve on Ac
 
-        Ac' P_i + P_i Ac + Q_i + sum_j K_j' R_ij K_j = 0
+        Ac' P_i + P_i Ac + Q_i + sum_j K_j' R_ij K_j = 0,  i = 1..N
 
     and sets K_i = R_ii^-1 B_i' P_i for the next sweep. A sweep whose closed
     loop is not Hurwitz raises NotStabilizableError, so a returned solution
@@ -286,10 +287,10 @@ def solve_coupled_riccati(
         ac = A - sum(b @ k for b, k in zip(bs, gains))
         if not is_hurwitz(ac):
             raise NotStabilizableError(f"closed loop not stabilizing at outer iteration {outer}")
-        candidates = [
-            solve_lyapunov(ac, pl.Q + sum(k.T @ game.cross_R(i, j) @ k for j, k in enumerate(gains)))
-            for i, pl in enumerate(game.players)
-        ]
+        rhs = np.stack(
+            [pl.Q + sum(k.T @ game.cross_R(i, j) @ k for j, k in enumerate(gains)) for i, pl in enumerate(game.players)]
+        )
+        candidates = list(solve_lyapunov(ac, rhs))
 
         if not max(frobenius_norm(p) for p in candidates) <= DIVERGENCE_GUARD:  # NaN trips it too
             raise DivergedError(f"iterate norm exceeded {DIVERGENCE_GUARD:.1e} at outer iteration {outer}")

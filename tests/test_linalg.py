@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -144,3 +146,81 @@ class TestLyapunov:
         ours = solve_lyapunov(f, w)
         ref = sla.solve_continuous_lyapunov(f.T, -w)
         assert np.allclose(ours, ref, rtol=1e-9, atol=1e-9)
+
+    def test_stack_equals_single_solves(self):
+        rng = np.random.default_rng(4)
+        n = 7
+        f = random_hurwitz(rng, n)
+        w = rng.normal(size=(3, n, n))
+        w = w + np.swapaxes(w, 1, 2)
+        stacked = solve_lyapunov(f, w)
+        assert stacked.shape == (3, n, n)
+        for wk, xk in zip(w, stacked):
+            single = solve_lyapunov(f, wk)
+            assert np.max(np.abs(xk - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_anti_stable_against_scipy(self):
+        # the shifted equation (A + beta I) Z + Z (A + beta I)' = 2 B B' of the stabilizing gain
+        rng = np.random.default_rng(12)
+        for n in (1, 4, 12):
+            a = rng.normal(size=(n, n))
+            b = rng.normal(size=(n, 2))
+            f = (a + (frobenius_norm(a) + 0.5) * np.eye(n)).T
+            w = -2.0 * (b @ b.T)
+            ours = solve_lyapunov(f, w, stable=False)
+            ref = sla.solve_continuous_lyapunov(f.T, -w)
+            assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_n60_against_scipy(self):
+        rng = np.random.default_rng(60)
+        f = random_hurwitz(rng, 60)
+        w = rng.normal(size=(60, 60))
+        w = w @ w.T
+        ours = solve_lyapunov(f, w)
+        ref = sla.solve_continuous_lyapunov(f.T, -w)
+        assert np.max(np.abs(ours - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2, 6, 20])
+    @pytest.mark.parametrize("abscissa", [1e-4, 1e-6, 1e-8])
+    def test_near_imaginary_axis(self, n, abscissa):
+        rng = np.random.default_rng(n)
+        f = random_hurwitz(rng, n, margin=abscissa)
+        w = rng.normal(size=(n, n))
+        w = w @ w.T
+        x = solve_lyapunov(f, w)
+        res = f.T @ x + x @ f + w
+        assert spectral_norm(res) <= 1e-10 * spectral_norm(f) * spectral_norm(x)
+
+    def test_not_hurwitz_raises(self):
+        f = np.diag([-1.0, 0.5])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_lyapunov(f, np.eye(2))
+
+    def test_memory_is_quadratic(self):
+        rng = np.random.default_rng(61)
+        f = random_hurwitz(rng, 60)
+        w = rng.normal(size=(2, 60, 60))
+        tracemalloc.start()
+        try:
+            solve_lyapunov(f, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6  # an n^2 x n^2 Kronecker matrix alone is 104 MB
+
+    @pytest.mark.parametrize(
+        "f_shape, w_shape",
+        [((2, 3), (2, 2)), ((3,), (3, 3)), ((3, 3), (2, 2)), ((3, 3), (2, 3, 2)), ((3, 3), (3,)), ((3, 3), (1, 1, 3, 3))],
+    )
+    def test_rejects_bad_shapes(self, f_shape, w_shape):
+        with pytest.raises(ValueError):
+            solve_lyapunov(-np.ones(f_shape), np.ones(w_shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        f = -np.eye(2)
+        w = np.eye(2)
+        with pytest.raises(NonFiniteMatrixError):
+            solve_lyapunov(np.where(f == 0.0, bad, f), w)
+        with pytest.raises(NonFiniteMatrixError):
+            solve_lyapunov(f, np.full((2, 2, 2), bad))

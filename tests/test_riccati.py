@@ -174,14 +174,15 @@ class TestCoupled:
             return
         assert is_hurwitz(closed_loop_nash(game, sol.P).Ac)
 
-    def test_one_lyapunov_solve_per_player_per_sweep(self, monkeypatch):
+    def test_one_stacked_lyapunov_call_per_sweep(self, monkeypatch):
         game, _ = generate_family(FamilyParams(n_per_block=2, n_players=3, delta=0.1, seed=4))
         assert is_hurwitz(game.A)  # zero initial gains: no Lyapunov solve before the first sweep
-        calls = []
-        monkeypatch.setattr(riccati, "solve_lyapunov", lambda f, w: calls.append(1) or solve_lyapunov(f, w))
+        shapes = []
+        monkeypatch.setattr(riccati, "solve_lyapunov", lambda f, w: shapes.append(w.shape) or solve_lyapunov(f, w))
         monkeypatch.setattr(riccati, "_newton_care", None)
         sol = solve_coupled_riccati(game)
-        assert len(calls) == game.n_players * len(sol.residual_history)
+        assert len(shapes) == len(sol.residual_history)
+        assert all(shape == (game.n_players, game.n, game.n) for shape in shapes)
 
 
 class TestClosedLoops:

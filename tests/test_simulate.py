@@ -140,6 +140,23 @@ class TestRk4Reference:
             integrated = rk4_reference(a, x0, grid, substeps=1000)
             assert np.max(np.abs(exact.states - integrated.states)) <= 1e-6
 
+    def test_matches_four_stage_form(self):
+        # the step matrix is the classical four-stage update applied to a linear system
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(5, 5))
+        x = rng.normal(size=5)
+        grid = np.array([0.0, 0.3, 1.0, 1.2])
+        traj = rk4_reference(a, x, grid, substeps=7)
+        for idx in range(1, grid.size):
+            h = (grid[idx] - grid[idx - 1]) / 7
+            for _ in range(7):
+                k1 = a @ x
+                k2 = a @ (x + 0.5 * h * k1)
+                k3 = a @ (x + 0.5 * h * k2)
+                k4 = a @ (x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.max(np.abs(traj.states[idx] - x)) <= 1e-13 * np.max(np.abs(x))
+
     def test_substeps_validated(self):
         with pytest.raises(ValueError):
             rk4_reference([[-1.0]], [1.0], [0.0, 1.0], substeps=0)
