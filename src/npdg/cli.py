@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from ._records import csv_text
 from .errors import GameFileError, NpdgError, PartitionError, SolverError
 from .families import FamilyParams, family_x0, generate_family, sweep_delta
 from .gamefiles import load_game, save_game
@@ -115,7 +116,7 @@ def _cmd_validate(args) -> int:
     if args.json:
         doc = {
             "ok": not violations,
-            "violations": [{"path": v.path, "rule": v.rule, "message": v.message} for v in violations],
+            "violations": [v.to_dict() for v in violations],
         }
         print(_dump_json(doc))
     else:
@@ -168,21 +169,16 @@ def _cmd_simulate(args) -> int:
     traj = simulate_closed_loop(closed_loop_nash(game, nash.P).Ac, x0, grid)
     doc = {"grid": traj.grid.tolist(), "nash_states": traj.states.tolist()}
     header = ["t"] + [f"x{k + 1}" for k in range(game.n)]
-    columns = [traj.states]
+    columns = [grid, *traj.states.T]
     if care is not None:
         ptraj = simulate_closed_loop(closed_loop_potential(game, pot, care.P[0]).Ac, x0, grid)
         doc["potential_states"] = ptraj.states.tolist()
         header += [f"xp{k + 1}" for k in range(game.n)]
-        columns.append(ptraj.states)
+        columns.extend(ptraj.states.T)
     if args.json:
         print(_dump_json(doc))
         return EXIT_OK
-    print(",".join(header))
-    for idx, t in enumerate(grid):
-        cells = [_fmt(t)]
-        for block in columns:
-            cells.extend(_fmt(v) for v in block[idx])
-        print(",".join(cells))
+    print(csv_text(",".join(header), ",".join(["%.17g"] * len(columns)), columns), end="")
     return EXIT_OK
 
 

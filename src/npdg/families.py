@@ -17,11 +17,11 @@ which pieces a caller consumes.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._records import Record, csv_text
 from .errors import SolverError
 from .games import GameSpec, PlayerSpec, PotentialSpec, make_potential
 from .linalg import max_real_eigenvalue, spectral_norm
@@ -125,7 +125,7 @@ def family_x0(params: FamilyParams, mode: str = "ones") -> np.ndarray:
 
 
 @dataclass
-class SweepRow:
+class SweepRow(Record):
     delta_in: float
     delta_star: float
     max_error: float
@@ -133,53 +133,24 @@ class SweepRow:
     holds: bool
     failure: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "delta_in": self.delta_in,
-            "delta_star": self.delta_star,
-            "max_error": self.max_error,
-            "bound_at_max": self.bound_at_max,
-            "holds": self.holds,
-            "failure": self.failure,
-        }
-
 
 @dataclass
-class LinearFit:
+class LinearFit(Record):
     slope: float
     intercept: float
     r_squared: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-        }
-
 
 @dataclass
-class SweepReport:
+class SweepReport(Record):
     rows: list[SweepRow]
     fit: LinearFit | None
     failed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "fit": None if self.fit is None else self.fit.to_dict(),
-            "failed": self.failed,
-        }
-
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("delta_in,delta_star,max_error,bound_at_max,holds\n")
-        for r in self.rows:
-            holds = "true" if r.holds else "false"
-            out.write(f"{r.delta_in:.17g},{r.delta_star:.17g},{r.max_error:.17g},{r.bound_at_max:.17g},{holds}\n")
-        return out.getvalue()
+        rows = [(r.delta_in, r.delta_star, r.max_error, r.bound_at_max, str(r.holds).lower()) for r in self.rows]
+        return csv_text("delta_in,delta_star,max_error,bound_at_max,holds", "%.17g,%.17g,%.17g,%.17g,%s", zip(*rows))
 
 
 def fit_small_delta(xs, ys) -> LinearFit | None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import Record
 from .linalg import spectral_norm
 
 # Amount by which the potential input penalty must exceed unit spectral norm
@@ -118,7 +119,7 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     path: str
     rule: str
     message: str

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .errors import BlockMismatchError, GridMismatchError, NotNormalizedError
 from .games import GameSpec, PotentialSpec
 from .linalg import frobenius_norm, spectral_norm
@@ -35,23 +36,15 @@ EXACTNESS_TOL = 1e-8
 
 
 @dataclass
-class DistanceReport:
+class DistanceReport(Record):
     per_player: list[float]
     delta_star: float
     is_exact: bool
     tolerance_used: float
 
-    def to_dict(self) -> dict:
-        return {
-            "per_player": self.per_player,
-            "delta_star": self.delta_star,
-            "is_exact": self.is_exact,
-            "tolerance_used": self.tolerance_used,
-        }
-
 
 @dataclass
-class BoundChain:
+class BoundChain(Record):
     """Pieces of the closed-loop error bound ||deltaK|| <= ||Bp|| N delta*."""
 
     chain_value: float
@@ -65,31 +58,17 @@ class BoundChain:
     scaling_condition_per_player: list[bool]
     scaling_condition: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "chain_value": self.chain_value,
-            "bp_norm": self.bp_norm,
-            "n_players": self.n_players,
-            "delta_star": self.delta_star,
-            "f_tilde_norm2": self.f_tilde_norm2,
-            "f_tilde_frobenius": self.f_tilde_frobenius,
-            "frobenius_estimate": self.frobenius_estimate,
-            "row_block_norms": self.row_block_norms,
-            "scaling_condition_per_player": self.scaling_condition_per_player,
-            "scaling_condition": self.scaling_condition,
-        }
-
 
 @dataclass
-class DeltaKReport:
+class DeltaKReport(Record):
     deltaK: np.ndarray
     norm2: float
     bound_chain: BoundChain | None = None
 
     def to_dict(self) -> dict:
-        doc = {"deltaK": self.deltaK.tolist(), "norm2": self.norm2}
-        if self.bound_chain is not None:
-            doc["bound_chain"] = self.bound_chain.to_dict()
+        doc = super().to_dict()
+        if self.bound_chain is None:
+            del doc["bound_chain"]
         return doc
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import Record
 from .errors import (
     DivergedError,
     MaxIterationsError,
@@ -39,12 +40,12 @@ DIVERGENCE_GUARD = 1e12
 
 
 @dataclass
-class RiccatiSolution:
+class RiccatiSolution(Record):
     """Stabilizing Riccati matrices with their stationarity residuals.
 
     ``P`` holds one matrix per player for a coupled solve and a single
     matrix for the potential problem. ``residual_history`` traces the max
-    residual per outer iteration (diagnostic).
+    residual per outer iteration (diagnostic; not part of ``to_dict``).
     """
 
     P: list[np.ndarray]
@@ -52,32 +53,16 @@ class RiccatiSolution:
     iterations: int
     converged: bool
     tol: float
-    residual_history: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "P": [p.tolist() for p in self.P],
-            "residual_norms": self.residual_norms,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "tol": self.tol,
-        }
+    residual_history: list[float] = field(default_factory=list, metadata={"json": False})
 
 
 @dataclass
-class ClosedLoop:
+class ClosedLoop(Record):
     """Feedback loop matrix Ac = A - sum_i B_i K_i and the gains behind it."""
 
     Ac: np.ndarray
     gains: list[np.ndarray]
     stable: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "Ac": self.Ac.tolist(),
-            "gains": [k.tolist() for k in self.gains],
-            "stable": self.stable,
-        }
 
 
 def _solver_boundary(solver):
@@ -149,7 +134,7 @@ def _stabilizing_gain(A, B) -> np.ndarray:
     raise NotStabilizableError("no stabilizing initial gain found (pair may not be stabilizable)")
 
 
-def _newton_care(A, B, Q, R, tol, max_iter):
+def _newton_care(A, B, Q, R, tol):
     """Newton iteration for the stabilizing CARE solution.
 
     Returns (P, spectral residual, iterations). Iterates until the residual
@@ -164,7 +149,7 @@ def _newton_care(A, B, Q, R, tol, max_iter):
     prev_res = np.inf
     stalled = 0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER_CARE + 1):
         f = A - B @ k
         w = Q + k.T @ R @ k
         w = 0.5 * (w + w.T)
@@ -185,7 +170,7 @@ def _newton_care(A, B, Q, R, tol, max_iter):
 
 
 @_solver_boundary
-def solve_care(A, B, Q, R, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER_CARE) -> RiccatiSolution:
+def solve_care(A, B, Q, R, tol: float = DEFAULT_TOL) -> RiccatiSolution:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
     Raises NotStabilizableError if no stabilizing gain exists (or the
@@ -199,7 +184,7 @@ def solve_care(A, B, Q, R, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"B must have {A.shape[0]} rows, got {B.shape}")
 
-    p, res, iterations = _newton_care(A, B, Q, R, tol, max_iter)
+    p, res, iterations = _newton_care(A, B, Q, R, tol)
     if p is None or res > tol:
         raise MaxIterationsError(f"CARE residual {res:.3e} above tolerance {tol:.3e} after {iterations} iterations")
     loop = A - B @ np.linalg.solve(R, B.T @ p)

@@ -15,11 +15,11 @@ closed-loop matrix error obeys its ||Bp|| * N * delta_star chain.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import Record, csv_text
 from .errors import GridMismatchError, PartitionError
 from .games import GameSpec, PotentialSpec
 from .linalg import _expm_core, spectral_norm
@@ -148,7 +148,8 @@ def _bound(t, x0, bp_norm: float, n_players: int, rate: float, delta_star_value:
     coeff = float(np.linalg.norm(x0)) * bp_norm * n_players * delta_star_value
     if coeff == 0.0:  # zero distance: zero bound, even where exp(t * rate) overflows
         return np.zeros_like(t)
-    return coeff * t * np.exp(t * rate)
+    with np.errstate(over="ignore"):  # an overflowed bound is judged by verify_bound
+        return coeff * t * np.exp(t * rate)
 
 
 def c_npdg_bound(t, x0, Bp, n_players: int, ac_nash, ac_pot, delta_star_value: float):
@@ -165,7 +166,7 @@ def c_npdg_bound(t, x0, Bp, n_players: int, ac_nash, ac_pot, delta_star_value: f
 
 
 @dataclass
-class BoundReport:
+class BoundReport(Record):
     """Self-contained record of one error-vs-bound verification run."""
 
     grid: np.ndarray
@@ -180,8 +181,8 @@ class BoundReport:
     growth_rate: float  # max of the two closed-loop spectral norms
     ac_nash: np.ndarray
     ac_pot: np.ndarray
-    traj_nash: Trajectory
-    traj_pot: Trajectory
+    traj_nash: Trajectory = field(metadata={"json": False})
+    traj_pot: Trajectory = field(metadata={"json": False})
     label: str | None = None
 
     def max_error(self) -> float:
@@ -196,29 +197,9 @@ class BoundReport:
     def bound_at_max_error(self) -> float:
         return float(self.bound[int(np.argmax(self.error))])
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "error": self.error.tolist(),
-            "bound": self.bound.tolist(),
-            "margin": self.margin.tolist(),
-            "holds": self.holds,
-            "delta_star_used": self.delta_star_used,
-            "x0": self.x0.tolist(),
-            "bp_norm": self.bp_norm,
-            "n_players": self.n_players,
-            "growth_rate": self.growth_rate,
-            "ac_nash": self.ac_nash.tolist(),
-            "ac_pot": self.ac_pot.tolist(),
-            "label": self.label,
-        }
-
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("t,error,bound,margin\n")
-        for t, e, b, m in zip(self.grid, self.error, self.bound, self.margin):
-            out.write(f"{t:.17g},{e:.17g},{b:.17g},{m:.17g}\n")
-        return out.getvalue()
+        columns = (self.grid, self.error, self.bound, self.margin)
+        return csv_text("t,error,bound,margin", "%.17g,%.17g,%.17g,%.17g", columns)
 
 
 def _margins(error: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -258,8 +239,9 @@ def verify_bound(
     bp_norm = spectral_norm(pot.Bp)
     bound = _bound(g, x0, bp_norm, game.n_players, rate, dist.delta_star)
     margin = _margins(error, bound)
-    # an overflowed bound would pass every error vacuously
-    holds = bool(np.all(np.isfinite(bound)) and np.all(error <= bound + BOUND_SLACK))
+    # every bound is >= 0, so errors within the slack hold at any bound; past
+    # the slack, an overflowed bound would pass every error vacuously
+    holds = bool(np.all(error <= BOUND_SLACK) or (np.all(np.isfinite(bound)) and np.all(error <= bound + BOUND_SLACK)))
     return BoundReport(
         grid=g,
         error=error,
@@ -280,7 +262,7 @@ def verify_bound(
 
 
 @dataclass
-class PiecewiseDelta:
+class PiecewiseDelta(Record):
     """Interval-wise distance levels for long-horizon bound statements.
 
     Splitting the horizon lets the bound restart on every interval; for
@@ -292,19 +274,10 @@ class PiecewiseDelta:
     deltas: list[float]
     monotone_decreasing: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "partition": [list(iv) for iv in self.partition],
-            "deltas": self.deltas,
-            "monotone_decreasing": self.monotone_decreasing,
-        }
-
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("k,t_start,t_end,delta_k\n")
-        for k, ((lo, hi), d) in enumerate(zip(self.partition, self.deltas), start=1):
-            out.write(f"{k},{lo:.17g},{hi:.17g},{d:.17g}\n")
-        return out.getvalue()
+        lo, hi = zip(*self.partition)
+        columns = (range(1, len(self.deltas) + 1), lo, hi, self.deltas)
+        return csv_text("k,t_start,t_end,delta_k", "%d,%.17g,%.17g,%.17g", columns)
 
 
 def piecewise_delta(traj_pot: Trajectory, traj_nash: Trajectory, delta_star_value: float, partition) -> PiecewiseDelta:

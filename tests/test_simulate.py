@@ -259,6 +259,16 @@ class TestVerifyBound:
         assert report.holds
         assert np.all(np.isfinite(report.margin))
 
+    def test_rounding_level_distance_long_horizon_holds(self):
+        # delta* rounds to about 6e-17 here, not 0, so the bound overflows
+        # while every error stays within the slack
+        game, pot = generate_family(FamilyParams(2, 2, 0.0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_bound(game, pot, grid=default_grid(600.0))
+        assert report.holds
+        assert np.all(np.isfinite(report.margin))
+
     def test_margin_rules(self):
         margin = _margins(np.array([0.0, 1.0, 2.0, 0.0]), np.array([0.0, 0.0, 4.0, 3.0]))
         assert margin.tolist() == [0.0, np.inf, 0.5, 0.0]
