@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,8 +48,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite_or_null(doc):
+    """``doc`` with every NaN or infinite float replaced by None."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    return doc
+
+
 def _dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True)
+    """Strict JSON (RFC 8259 has no NaN or Infinity): a non-finite float is written as null."""
+    return json.dumps(_finite_or_null(doc), sort_keys=True, allow_nan=False)
 
 
 def _fallback_seed(value) -> int:

@@ -17,7 +17,7 @@ which pieces a caller consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,8 @@ def _family_streams(params: FamilyParams):
     return per_player, children[-2], children[-1]
 
 
-def generate_family(params: FamilyParams) -> tuple[GameSpec, PotentialSpec]:
+def _family(params: FamilyParams):
+    """The seed-determined part of a family: (game at a coupling delta, potential)."""
     nb = params.n_per_block
     n_players = params.n_players
     n = nb * n_players
@@ -86,16 +87,13 @@ def generate_family(params: FamilyParams) -> tuple[GameSpec, PotentialSpec]:
         r_diag = np.random.default_rng(r_ss).uniform(1.0, 2.0, size=p_i)
         players.append(PlayerSpec(B=b_full, Q=np.diag(q_full), R={i: np.diag(r_diag)}))
 
-    if n_players > 1 and params.delta > 0:
+    g = None
+    if n_players > 1:
         g = np.random.default_rng(g_stream).uniform(-1.0, 1.0, size=(n, n))
         for i in range(n_players):
             block = slice(i * nb, (i + 1) * nb)
             g[block, block] = 0.0
         g = g / spectral_norm(g)
-        a = a + params.delta * g
-
-    label = f"family(seed={params.seed}, n_per_block={nb}, players={n_players}, delta={params.delta!r})"
-    game = GameSpec(n=n, A=a, players=tuple(players), label=label)
 
     # sum cost: block-diagonal penalties over the aggregated input
     qp = np.zeros((n, n))
@@ -109,7 +107,17 @@ def generate_family(params: FamilyParams) -> tuple[GameSpec, PotentialSpec]:
         w = blk.shape[0]
         rp[at : at + w, at : at + w] = blk
         at += w
-    return game, make_potential(game, qp, rp)
+
+    def game_at(delta: float) -> GameSpec:
+        label = f"family(seed={params.seed}, n_per_block={nb}, players={n_players}, delta={delta!r})"
+        return GameSpec(n=n, A=a + delta * g if g is not None and delta > 0 else a, players=players, label=label)
+
+    return game_at, make_potential(GameSpec(n=n, A=a, players=players), qp, rp)
+
+
+def generate_family(params: FamilyParams) -> tuple[GameSpec, PotentialSpec]:
+    game_at, pot = _family(params)
+    return game_at(params.delta), pot
 
 
 def family_x0(params: FamilyParams, mode: str = "ones") -> np.ndarray:
@@ -190,12 +198,12 @@ def sweep_delta(
         raise ValueError("delta grid must be ascending")
     x0 = family_x0(params, x0_mode)
     time_grid = default_grid(horizon, points)
+    game_at, pot = _family(params)
 
     rows = []
     for d in grid_in:
-        game, pot = generate_family(replace(params, delta=d))
         try:
-            report = verify_bound(game, pot, x0=x0, grid=time_grid, tol=tol, max_iter=max_iter)
+            report = verify_bound(game_at(d), pot, x0=x0, grid=time_grid, tol=tol, max_iter=max_iter)
         except SolverError as exc:
             rows.append(SweepRow(d, float("nan"), float("nan"), float("nan"), holds=False, failure=str(exc)))
             continue

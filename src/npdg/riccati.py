@@ -2,21 +2,21 @@
 equilibrium, plus the closed-loop system matrices they induce.
 
 The single-agent continuous-time algebraic Riccati equation is solved by
-Newton iteration on the gain (repeated Lyapunov solves), started from a
-stabilizing gain obtained by eigenvalue shifting. The coupled equations of
-the N-player game are solved by simultaneous policy iteration (the Lyapunov
-iterations of Li & Gajic, 1995): every sweep evaluates all players' costs
-under the shared closed loop with one stacked Lyapunov solve (one
-right-hand side per player) and then moves every gain to its player's best
-response. Fixed points of that map satisfy the player-wise stationarity
-residual evaluated by ``coupled_residuals``, which is the
-solver-independent convergence oracle.
+Newton iteration, started from a stabilizing gain obtained by eigenvalue
+shifting. The coupled equations of the N-player game are solved by
+simultaneous policy iteration (the Lyapunov iterations of Li & Gajic,
+1995), of which Newton's method is the one-player case: every sweep
+evaluates all players' costs under the shared closed loop with one stacked
+Lyapunov solve and moves every gain to its player's best response. Both
+iterations carry P, not the gains: from per-game constants formed once,
+``_step`` gives every player's residual, the next closed loop and the next
+right-hand sides. Fixed points satisfy the player-wise stationarity
+residual of ``coupled_residuals``, the solver-independent oracle.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,13 +25,12 @@ from ._records import Record
 from .errors import (
     DivergedError,
     MaxIterationsError,
+    NonFiniteMatrixError,
     NotStabilizableError,
     SolverError,
 )
 from .games import GameSpec, PotentialSpec, aggregate_inputs
-from .linalg import frobenius_norm, is_hurwitz, max_real_eigenvalue, solve_lyapunov, spectral_norm
-
-log = logging.getLogger(__name__)
+from .linalg import frobenius_norm, is_hurwitz, max_real_eigenvalue, solve_lyapunov
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER_CARE = 50
@@ -89,9 +88,36 @@ def _as_square(m, name) -> np.ndarray:
     return a
 
 
-def _care_residual_matrix(A, B, Q, R, P) -> np.ndarray:
-    s = B @ np.linalg.solve(R, B.T)
-    return A.T @ P + P @ A - P @ s @ P + Q
+def _constants(A, qs, bs, r):
+    """Per-game constants (A, Q, S, W) of the Riccati step; ``r(i, j)`` gives R_ij.
+
+    Q stacks Q_i, S stacks S_j = B_j R_jj^-1 B_j' and W[i, j] = G_j' R_ij G_j
+    with G_j = R_jj^-1 B_j', so that K_j' R_ij K_j = P_j W_ij P_j.
+    """
+    gs = [np.linalg.solve(r(j, j), b.T) for j, b in enumerate(bs)]
+    s = np.stack([b @ g for b, g in zip(bs, gs)])
+    w = np.array([[g.T @ r(i, j) @ g for j, g in enumerate(gs)] for i in range(len(bs))])
+    return A, np.stack(qs), s, w
+
+
+def _step(consts, p):
+    """Residuals of the stacked candidates ``p`` (N, n, n) and the next Lyapunov data.
+
+    With T = sum_j S_j P_j and D[i, j] = P_j W_ij P_j, the closed loop of
+    the gains K_j = G_j P_j is Ac = A - T and player i's right-hand side is
+    rhs_i = Q_i + sum_j D[i, j]. For symmetric P the residual of
+    ``coupled_residuals`` is Ac' P_i + P_i Ac + rhs_i. Returns (residual
+    stack, spectral norms, Ac, rhs); the norms come from one batched SVD,
+    capped at the Frobenius norm as in ``spectral_norm``.
+    """
+    a, q, s, w = consts
+    ac = a - (s @ p).sum(axis=0)
+    rhs = q + (p @ w @ p).sum(axis=1)
+    res = ac.T @ p + p @ ac + rhs
+    if not np.all(np.isfinite(res)):
+        raise NonFiniteMatrixError("spectral norm of a non-finite matrix")
+    norms = np.minimum(np.linalg.svd(res, compute_uv=False)[:, 0], np.sqrt(np.sum(res * res, axis=(1, 2))))
+    return res, norms, ac, rhs
 
 
 def care_residual(A, B, Q, R, P) -> float:
@@ -101,7 +127,7 @@ def care_residual(A, B, Q, R, P) -> float:
     Q = _as_square(Q, "Q")
     B = np.atleast_2d(np.asarray(B, dtype=float))
     R = _as_square(R, "R")
-    return spectral_norm(_care_residual_matrix(A, B, Q, R, P))
+    return float(_step(_constants(A, [Q], [B], lambda i, j: R), P[None])[1][0])
 
 
 def _stabilizing_gain(A, B) -> np.ndarray:
@@ -135,38 +161,37 @@ def _stabilizing_gain(A, B) -> np.ndarray:
 
 
 def _newton_care(A, B, Q, R, tol):
-    """Newton iteration for the stabilizing CARE solution.
+    """Newton iteration for the stabilizing CARE solution: ``_step`` with one player.
 
     Returns (P, spectral residual, iterations). Iterates until the residual
     drops well below ``tol`` or stops improving (quadratic convergence
     normally lands near machine precision). The loop is steered by the
     Frobenius norm, which upper-bounds the reported spectral norm.
     """
+    consts = _constants(A, [Q], [B], lambda i, j: R)
     k = _stabilizing_gain(A, B)
+    f = A - B @ k
+    w = Q + k.T @ R @ k
     target = 1e-4 * tol
     best_p = None
-    best_res = np.inf
+    best_res = best_norm = np.inf
     prev_res = np.inf
     stalled = 0
     iterations = 0
     for iterations in range(1, DEFAULT_MAX_ITER_CARE + 1):
-        f = A - B @ k
-        w = Q + k.T @ R @ k
-        w = 0.5 * (w + w.T)
         p = solve_lyapunov(f, w)
-        res = frobenius_norm(_care_residual_matrix(A, B, Q, R, p))
+        res_mat, norms, f, rhs = _step(consts, p[None])
+        w = rhs[0]
+        res = frobenius_norm(res_mat)
         if res < best_res:
-            best_p, best_res = p, res
+            best_p, best_res, best_norm = p, res, float(norms[0])
         if res <= target:
             break
         stalled = stalled + 1 if res >= prev_res else 0
         if stalled >= 2:  # rounding floor reached
             break
         prev_res = res
-        k = np.linalg.solve(R, B.T @ p)
-    if best_p is None:
-        return None, np.inf, iterations
-    return best_p, care_residual(A, B, Q, R, best_p), iterations
+    return best_p, best_norm, iterations
 
 
 @_solver_boundary
@@ -193,6 +218,10 @@ def solve_care(A, B, Q, R, tol: float = DEFAULT_TOL) -> RiccatiSolution:
     return RiccatiSolution(P=[p], residual_norms=[res], iterations=iterations, converged=True, tol=tol, residual_history=[res])
 
 
+def _game_constants(game: GameSpec):
+    return _constants(game.A, [pl.Q for pl in game.players], [pl.B for pl in game.players], game.cross_R)
+
+
 def coupled_residuals(game: GameSpec, P: list[np.ndarray]) -> list[float]:
     """Player-wise stationarity residuals of a candidate solution set.
 
@@ -201,33 +230,17 @@ def coupled_residuals(game: GameSpec, P: list[np.ndarray]) -> list[float]:
         Q_i + A'P_i + P_i A - P_i S_i P_i
             - sum_{j != i} (P_i S_j P_j + P_j S_j P_i - K_j' R_ij K_j)
 
-    measured in the spectral norm. Independent of how P was produced.
+    measured in the spectral norm. Independent of how P was produced; P is
+    taken to be symmetric, as Riccati solutions are.
     """
     n_players = game.n_players
     if len(P) != n_players:
         raise ValueError(f"expected {n_players} matrices, got {len(P)}")
-    A = game.A
-    s = []
-    k = []
-    for j, pl in enumerate(game.players):
-        pj = _as_square(P[j], f"P[{j}]")
+    ps = [_as_square(pj, f"P[{j}]") for j, pj in enumerate(P)]
+    for j, pj in enumerate(ps):
         if pj.shape != (game.n, game.n):
             raise ValueError(f"P[{j}] must be {game.n}x{game.n}, got {pj.shape}")
-        rjj = game.self_R(j)
-        kj = np.linalg.solve(rjj, pl.B.T @ pj)
-        k.append(kj)
-        s.append(pl.B @ np.linalg.solve(rjj, pl.B.T))
-    out = []
-    for i, pl in enumerate(game.players):
-        pi = np.asarray(P[i], dtype=float)
-        res = pl.Q + A.T @ pi + pi @ A - pi @ s[i] @ pi
-        for j in range(n_players):
-            if j == i:
-                continue
-            pj = np.asarray(P[j], dtype=float)
-            res -= pi @ s[j] @ pj + pj @ s[j] @ pi - k[j].T @ game.cross_R(i, j) @ k[j]
-        out.append(spectral_norm(res))
-    return out
+    return _step(_game_constants(game), np.stack(ps))[1].tolist()
 
 
 @_solver_boundary
@@ -244,16 +257,17 @@ def solve_coupled_riccati(
 
         Ac' P_i + P_i Ac + Q_i + sum_j K_j' R_ij K_j = 0,  i = 1..N
 
-    and sets K_i = R_ii^-1 B_i' P_i for the next sweep. A sweep whose closed
-    loop is not Hurwitz raises NotStabilizableError, so a returned solution
-    always comes from a stabilizing gain set. Convergence is declared on
-    the evaluated set, judged by ``coupled_residuals``.
+    and moves to the gains K_i = R_ii^-1 B_i' P_i for the next sweep. The
+    iteration carries P, not the gains: ``_step`` gives the residuals of
+    ``coupled_residuals`` and the next Ac and right-hand sides from the
+    per-game constants. A sweep whose closed loop is not Hurwitz raises
+    NotStabilizableError, so a returned solution always comes from a
+    stabilizing gain set.
     """
     n = game.n
     n_players = game.n_players
     A = game.A
-    bs = [pl.B for pl in game.players]
-    rs = [game.self_R(i) for i in range(n_players)]
+    consts = _game_constants(game)
 
     if is_hurwitz(A):
         gains = [np.zeros((pl.p, n)) for pl in game.players]
@@ -262,55 +276,39 @@ def solve_coupled_riccati(
         joint = _stabilizing_gain(A, bp)
         edges = np.concatenate(([0], np.cumsum(blocks)))
         gains = [joint[edges[i] : edges[i + 1], :] for i in range(n_players)]
+    ac = A - sum(pl.B @ k for pl, k in zip(game.players, gains))
+    rhs = np.stack(
+        [pl.Q + sum(k.T @ game.cross_R(i, j) @ k for j, k in enumerate(gains)) for i, pl in enumerate(game.players)]
+    )
 
     # Iterate past the requested tolerance (down to target) so that reported
     # gains sit well inside it; accept a stagnated residual once under tol.
     target = 0.01 * tol
     history: list[float] = []
-    best: tuple[float, list[np.ndarray], list[float], int] | None = None
+    best = (np.inf, None, None, 0)  # (max residual, P, residuals, outer iteration)
     for outer in range(1, max_iter + 1):
-        ac = A - sum(b @ k for b, k in zip(bs, gains))
         if not is_hurwitz(ac):
             raise NotStabilizableError(f"closed loop not stabilizing at outer iteration {outer}")
-        rhs = np.stack(
-            [pl.Q + sum(k.T @ game.cross_R(i, j) @ k for j, k in enumerate(gains)) for i, pl in enumerate(game.players)]
-        )
-        candidates = list(solve_lyapunov(ac, rhs))
+        candidates = solve_lyapunov(ac, rhs)
 
-        if not max(frobenius_norm(p) for p in candidates) <= DIVERGENCE_GUARD:  # NaN trips it too
+        if not np.sqrt(np.sum(candidates * candidates, axis=(1, 2))).max() <= DIVERGENCE_GUARD:  # NaN trips it too
             raise DivergedError(f"iterate norm exceeded {DIVERGENCE_GUARD:.1e} at outer iteration {outer}")
 
-        residuals = coupled_residuals(game, candidates)
-        worst = max(residuals)
-        history.append(worst)
-        log.debug("coupled outer %d: max residual %.3e", outer, worst)
-        stagnated = len(history) >= 2 and worst >= history[-2]
-        if best is None or worst < best[0]:
-            best = (worst, candidates, residuals, outer)
-        if worst <= target or (worst <= tol and stagnated):
-            return RiccatiSolution(
-                P=candidates,
-                residual_norms=residuals,
-                iterations=outer,
-                converged=True,
-                tol=tol,
-                residual_history=history,
+        _, norms, ac, rhs = _step(consts, candidates)
+        current = (float(norms.max()), list(candidates), norms.tolist(), outer)
+        history.append(current[0])
+        stagnated = len(history) >= 2 and current[0] >= history[-2]
+        best = min(best, current, key=lambda c: c[0])
+        if current[0] <= target or (current[0] <= tol and stagnated):
+            break
+    else:
+        current = best
+        if not best[0] <= tol:
+            raise MaxIterationsError(
+                f"coupled residual {best[0]:.3e} above tolerance {tol:.3e} after {max_iter} outer iterations"
             )
-        gains = [np.linalg.solve(r, b.T @ p) for r, b, p in zip(rs, bs, candidates)]
-
-    if best is not None and best[0] <= tol:
-        return RiccatiSolution(
-            P=best[1],
-            residual_norms=best[2],
-            iterations=best[3],
-            converged=True,
-            tol=tol,
-            residual_history=history,
-        )
-    worst = np.inf if best is None else best[0]
-    raise MaxIterationsError(
-        f"coupled residual {worst:.3e} above tolerance {tol:.3e} after {max_iter} outer iterations"
-    )
+    _, ps, residuals, outer = current
+    return RiccatiSolution(P=ps, residual_norms=residuals, iterations=outer, converged=True, tol=tol, residual_history=history)
 
 
 def closed_loop_nash(game: GameSpec, P: list[np.ndarray]) -> ClosedLoop:

@@ -32,6 +32,15 @@ UNSTABLE_GAME = {
 }
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as RFC 8259 does."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def pair_file(tmp_path):
     game, pot = scalar_pair()
@@ -171,6 +180,17 @@ class TestVerify:
         assert len(doc["error"]) == len(doc["grid"])
 
 
+    def test_json_writes_overflowed_bound_as_null(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        cli_main(["generate", "--n", "2", "--players", "2", "--delta", "0.05", "--seed", "3", "-o", str(path)])
+        capsys.readouterr()
+        assert cli_main(["verify", str(path), "--t-end", "600", "--json"]) == EXIT_OK
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["holds"] is False
+        assert doc["bound"][-1] is None
+        assert all(isinstance(e, float) for e in doc["error"])
+
+
 class TestSolveAndSimulate:
     def test_solve_text(self, pair_file, capsys):
         assert cli_main(["solve", pair_file]) == EXIT_OK
@@ -233,6 +253,15 @@ class TestGenerateAndSweep:
         assert len(doc["rows"]) == 4
         assert doc["failed"] is False
         assert doc["fit"]["n_points"] == 2
+
+    def test_sweep_json_writes_failed_rows_as_null(self, capsys):
+        argv = ["sweep", "--n", "2", "--players", "2", "--grid", "0,0.05", "--seed", "3", "--max-iter", "1", "--json"]
+        assert cli_main(argv) == EXIT_OK
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["failed"] is True
+        for row in doc["rows"]:
+            assert row["failure"].startswith("coupled residual")
+            assert row["delta_star"] is None and row["max_error"] is None and row["bound_at_max"] is None
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         out_a = tmp_path / "a.json"

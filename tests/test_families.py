@@ -1,10 +1,27 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from npdg import load_game, save_game, solve_care, solve_coupled_riccati, validate_game, validate_potential
+from npdg import SolverError, load_game, save_game, solve_care, solve_coupled_riccati, validate_game, validate_potential
 from npdg.families import FamilyParams, family_x0, fit_small_delta, generate_family, sweep_delta
 from npdg.linalg import max_real_eigenvalue, spectral_norm
 from npdg.metrics import delta_star
+
+
+COMBOS = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
+# delta = 0 and the criterion-5 coupling grid
+CRITERION_5_GRID = [0.0] + [float(d) for d in np.logspace(-4.0, -1.0, 8)]
+
+
+def _family_bytes(game, pot):
+    """Label and raw bytes of every array of a generated family."""
+    parts = [game.label.encode(), game.A.tobytes(), pot.Bp.tobytes(), pot.Qp.tobytes(), pot.Rp.tobytes()]
+    parts.append(repr(pot.blocks).encode())
+    for pl in game.players:
+        parts += [pl.B.tobytes(), pl.Q.tobytes()] + [repr(j).encode() + r.tobytes() for j, r in sorted(pl.R.items())]
+    return b"|".join(parts)
 
 
 def _pipeline_delta_star(game, pot):
@@ -82,6 +99,16 @@ class TestGenerateFamily:
         assert value > 0.0
         assert value == pytest.approx(0.010043907268849598, rel=1e-6)
 
+    def test_bytes_frozen_on_criterion_5_couplings(self):
+        # digest of the families as generated before the seed part was split
+        # from the per-coupling assembly; any change to a label or a bit fails
+        digest = hashlib.sha256()
+        for seed, (nb, players) in enumerate(COMBOS):
+            for d in CRITERION_5_GRID:
+                params = FamilyParams(n_per_block=nb, n_players=players, delta=d, seed=seed)
+                digest.update(_family_bytes(*generate_family(params)))
+        assert digest.hexdigest() == "967fa50f302913f0832b60d2d75c27442ed446dd0837b9a8f028e5e756d40781"
+
     def test_x0_modes(self):
         params = FamilyParams(n_per_block=2, n_players=2, delta=0.0, seed=5)
         ones = family_x0(params, "ones")
@@ -101,6 +128,22 @@ class TestGenerateFamily:
 
 
 class TestSweep:
+    def test_levels_are_the_generated_families(self, monkeypatch):
+        seen = []
+
+        def capture(game, pot, **kwargs):
+            seen.append((game, pot))
+            raise SolverError("captured")
+
+        monkeypatch.setattr("npdg.families.verify_bound", capture)
+        for seed, (nb, players) in enumerate(COMBOS):
+            params = FamilyParams(n_per_block=nb, n_players=players, delta=0.0, seed=seed)
+            sweep_delta(params, CRITERION_5_GRID)
+            assert len(seen) == len(CRITERION_5_GRID)
+            for d, (game, pot) in zip(CRITERION_5_GRID, seen):
+                assert _family_bytes(game, pot) == _family_bytes(*generate_family(replace(params, delta=d)))
+            seen.clear()
+
     def test_single_zero_row(self):
         params = FamilyParams(n_per_block=1, n_players=2, delta=0.0, seed=3)
         report = sweep_delta(params, [0.0])

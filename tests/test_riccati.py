@@ -33,6 +33,65 @@ def _random_care_problem(rng, n, m):
     return a, b, q, r
 
 
+def _spd(rng, m):
+    x = rng.normal(size=(m, m))
+    return x @ x.T + m * np.eye(m)
+
+
+def _assert_matches_scipy(a, b, q, r):
+    ref = sla.solve_continuous_are(a, b, q, r)
+    scale = np.linalg.norm(ref, 2)
+    # the absolute 1e-9 stopping test cannot be met at large ||P||
+    ours = solve_care(a, b, q, r, tol=1e-9 * (1.0 + scale)).P[0]
+    assert np.linalg.norm(ours - ref, 2) <= 1e-9 * scale
+
+
+class TestCareOracle:
+    """solve_care against scipy on the hard classes: weak control, stiffness, shifted n=20 families."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("weak_mode", [0.5, -1.0])
+    def test_near_uncontrollable(self, eps, weak_mode):
+        # the first mode is reached only through eps; unstable (0.5), ||P|| grows to about 1e4
+        rng = np.random.default_rng(0)
+        a = np.diag([weak_mode, -1.0, -2.0, -3.0]) + np.triu(rng.normal(scale=0.3, size=(4, 4)), 1)
+        b = np.array([[eps], [1.0], [0.5], [-0.7]])
+        _assert_matches_scipy(a, b, np.eye(4), np.eye(1))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("normal", [True, False])
+    def test_stiff(self, n, normal):
+        # eigenvalues from -1e-3 to -1e3
+        rng = np.random.default_rng(n)
+        lam = -np.logspace(-3.0, 3.0, n)
+        if normal:
+            v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            a = v @ np.diag(lam) @ v.T
+        else:
+            a = np.diag(lam) + np.triu(rng.normal(size=(n, n)), 1)
+        _assert_matches_scipy(a, rng.normal(size=(n, 2)), np.eye(n), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "seed, shift",
+        [(seed, shift) for seed in (0, 1, 2, 3, 5) for shift in (1.0, 3.0)]
+        + [
+            (4, 1.0),
+            pytest.param(
+                4,
+                3.0,
+                marks=pytest.mark.xfail(
+                    raises=SolverError,
+                    strict=True,
+                    reason="||P|| about 5.6e7: the sign-function Lyapunov solve does not converge (ROADMAP item 3)",
+                ),
+            ),
+        ],
+    )
+    def test_shifted_n20_family(self, seed, shift):
+        game, pot = generate_family(FamilyParams(n_per_block=10, n_players=2, delta=0.05, seed=seed))
+        _assert_matches_scipy(game.A + shift * np.eye(game.n), pot.Bp, pot.Qp, pot.Rp)
+
+
 class TestCare:
     def test_scalar_unit(self):
         sol = solve_care([[0.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -130,6 +189,35 @@ class TestCoupled:
         assert max(coupled_residuals(game, sol.P)) <= 1e-9
         loop = closed_loop_nash(game, sol.P)
         assert loop.stable
+
+    def test_residual_oracle_per_player_formula(self):
+        # three players with input widths 1, 2, 3, every cross penalty nonzero,
+        # and random symmetric P that solve nothing
+        rng = np.random.default_rng(11)
+        n, widths = 4, (1, 2, 3)
+        players = tuple(
+            PlayerSpec(
+                B=rng.normal(size=(n, m)),
+                Q=np.diag(rng.uniform(0.5, 2.0, size=n)),
+                R={j: _spd(rng, widths[j]) * (1.0 if j == i else 0.3) for j in range(3)},
+            )
+            for i, m in enumerate(widths)
+        )
+        game = GameSpec(n=n, A=rng.normal(size=(n, n)), players=players)
+        a = game.A
+        for _ in range(5):
+            ps = [x + x.T for x in rng.normal(size=(3, n, n))]
+            s = [pl.B @ np.linalg.solve(game.self_R(j), pl.B.T) for j, pl in enumerate(players)]
+            k = [np.linalg.solve(game.self_R(j), pl.B.T @ ps[j]) for j, pl in enumerate(players)]
+            expected = []
+            for i, pl in enumerate(players):
+                res = pl.Q + a.T @ ps[i] + ps[i] @ a - ps[i] @ s[i] @ ps[i]
+                for j in range(3):
+                    if j != i:
+                        res = res - (ps[i] @ s[j] @ ps[j] + ps[j] @ s[j] @ ps[i] - k[j].T @ game.cross_R(i, j) @ k[j])
+                expected.append(np.linalg.norm(res, 2))
+            got = coupled_residuals(game, ps)
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_residuals_plug_in_values(self, pair):
         game, _ = pair
