@@ -9,6 +9,7 @@ seed; ``--json`` switches to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -248,11 +249,9 @@ def _cmd_sweep(args) -> int:
     )
     if args.json:
         print(_dump_json(report.to_dict()))
-        return EXIT_OK
-    csv = report.to_csv()
-    if args.output:
+    elif args.output:
         with open(args.output, "w") as fh:
-            fh.write(csv)
+            fh.write(report.to_csv())
         if report.fit is not None:
             print(
                 f"fit over {report.fit.n_points} smallest points: "
@@ -260,7 +259,11 @@ def _cmd_sweep(args) -> int:
             )
         print(f"failed={str(report.failed).lower()}")
     else:
-        print(csv, end="")
+        print(report.to_csv(), end="")
+    unsolved = sum(r.failure is not None for r in report.rows)
+    if unsolved:  # rows that only fail the bound check keep exit 0, as in verify
+        print(f"solver error: {unsolved} of {len(report.rows)} sweep rows failed", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -281,7 +284,9 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process at first use."""
     parser = _Parser(prog="npdg", description="LQ differential games: Nash feedback, potential distance, error bounds")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -341,9 +346,8 @@ _HANDLERS = {
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

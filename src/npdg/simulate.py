@@ -93,9 +93,10 @@ def simulate_closed_loop(Ac, x0, grid) -> Trajectory:
 
     The exponentials are computed for blocks of grid points at once, each
     block one stacked ``_expm_core`` call of at most ``_STACK_ENTRIES``
-    matrix entries, so memory stays O(n^2) whatever the grid length. No
-    step is chained onto another: every state equals
-    ``matrix_exponential(Ac * t_k) @ x0`` bit for bit.
+    matrix entries, so memory stays O(n^2) whatever the grid length. The
+    norms t_k ||Ac|| it passes never decrease along the grid, as
+    ``_expm_core`` requires. No step is chained onto another: every state
+    equals ``matrix_exponential(Ac * t_k) @ x0`` bit for bit.
     """
     g = _check_grid(grid)
     a, x = _check_system(Ac, x0)

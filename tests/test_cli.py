@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from npdg import (
 from npdg.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, cli_main
 
 from conftest import scalar_pair, single_player_game
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BAD_GAME = {
     "n": 1,
@@ -256,12 +262,33 @@ class TestGenerateAndSweep:
 
     def test_sweep_json_writes_failed_rows_as_null(self, capsys):
         argv = ["sweep", "--n", "2", "--players", "2", "--grid", "0,0.05", "--seed", "3", "--max-iter", "1", "--json"]
-        assert cli_main(argv) == EXIT_OK
-        doc = _strict_json(capsys.readouterr().out)
+        assert cli_main(argv) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert "solver error: 2 of 2 sweep rows failed" in captured.err
+        doc = _strict_json(captured.out)
         assert doc["failed"] is True
         for row in doc["rows"]:
             assert row["failure"].startswith("coupled residual")
             assert row["delta_star"] is None and row["max_error"] is None and row["bound_at_max"] is None
+
+    def test_sweep_failed_rows_exit_solver_after_csv(self, tmp_path, capsys):
+        argv = ["sweep", "--n", "2", "--players", "2", "--grid", "0,0.05", "--seed", "3", "--max-iter", "1"]
+        assert cli_main(argv) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["0,nan,nan,nan,false", "0.050000000000000003,nan,nan,nan,false"]
+        assert "solver error: 2 of 2 sweep rows failed" in captured.err
+        out_file = tmp_path / "sweep.csv"
+        assert cli_main([*argv, "-o", str(out_file)]) == EXIT_SOLVER
+        assert "failed=true" in capsys.readouterr().out
+        assert out_file.read_text() == captured.out
+
+    def test_sweep_bound_miss_exits_ok(self, capsys):
+        # the bound overflows before t = 600: holds=false, but every row is solved
+        argv = ["sweep", "--n", "2", "--players", "2", "--grid", "0.05", "--seed", "3", "--t-end", "600"]
+        assert cli_main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].endswith(",false")
+        assert captured.err == ""
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         out_a = tmp_path / "a.json"
@@ -284,3 +311,30 @@ class TestGenerateAndSweep:
 
     def test_bad_grid_string(self, capsys):
         assert cli_main(["sweep", "--n", "1", "--players", "2", "--grid", "a,b", "--seed", "1"]) == EXIT_VALIDATION
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_processes(self, pair_file, tmp_path, capsys):
+        runs = [
+            ["distance", pair_file, "--json"],
+            ["distance", pair_file],
+            ["verify", pair_file, "--points", "11", "--piecewise", "2"],
+            ["validate", pair_file, "--points", "11"],
+            ["verify", pair_file, "--points", "11", "--json"],
+            ["sweep", "--n", "1", "--players", "2", "--grid", "0.01", "--seed", "4"],
+        ]
+        in_process = []
+        for argv in runs:
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        for argv, expected in zip(runs, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "npdg.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=tmp_path,
+            )
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected, argv

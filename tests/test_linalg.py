@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from npdg.errors import NonFiniteMatrixError
-from npdg.linalg import frobenius_norm, matrix_exponential, solve_lyapunov, spectral_norm
+from npdg.linalg import (
+    _TAYLOR_DEGREE,
+    _TAYLOR_THETA,
+    _expm_core,
+    frobenius_norm,
+    matrix_exponential,
+    solve_lyapunov,
+    spectral_norm,
+)
 
 from conftest import random_hurwitz
 
@@ -123,6 +133,84 @@ class TestMatrixExponential:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteMatrixError):
             matrix_exponential(np.array([[np.inf]]))
+
+
+def _nilpotent_exponential(m):
+    """I + N + N^2/2 + N^3/6 in exact rational arithmetic, rounded once: e^N when N^4 = 0."""
+    n = m.shape[0]
+    f = [[Fraction(x) for x in row] for row in m.tolist()]
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    f2 = mul(f, f)
+    f3 = mul(f2, f)
+    return np.array([[float((i == j) + f[i][j] + f2[i][j] / 2 + f3[i][j] / 6) for j in range(n)] for i in range(n)])
+
+
+class TestTaylorKernel:
+    """The degree-16 Taylor / Paterson-Stockmeyer kernel behind matrix_exponential."""
+
+    @staticmethod
+    def _matrices(n):
+        rng = np.random.default_rng(60 + n)
+        yield "dense", rng.normal(size=(n, n))
+        yield "triangular", np.triu(rng.normal(size=(n, n))) + np.triu(np.full((n, n), 3.0), 1)  # non-normal
+        yield "jordan", -np.eye(n) + np.eye(n, k=1)
+
+    # every depth switch theta * 2^j for j < 7, approached from both sides
+    NORMS = [1e-3, 1e-1, 1e2] + [_TAYLOR_THETA * 2.0**j * (1.0 + side) for j in range(7) for side in (-1e-9, 1e-9)]
+
+    @pytest.mark.parametrize("n", [2, 6, 40])
+    def test_against_scipy_across_squaring_depths(self, n):
+        for kind, m in self._matrices(n):
+            for norm in self.NORMS:
+                a = m * (norm / spectral_norm(m))
+                ref = sla.expm(a)
+                err = np.linalg.norm(matrix_exponential(a) - ref, 2) / np.linalg.norm(ref, 2)
+                assert err <= 5e-14 * max(1.0, norm), (kind, norm, err)
+
+    def test_truncation_bound_holds_at_theta(self):
+        # ||e^X - T_m(X)|| <= sum_{j>m} ||X||^j / j! <= x^(m+1)/(m+1)! * (m+2)/(m+2-x) at x = ||X|| = theta_m
+        m = _TAYLOR_DEGREE
+        x = Fraction(_TAYLOR_THETA)
+        u = Fraction(np.finfo(float).eps) / 2
+        first = x ** (m + 1) / math.factorial(m + 1)
+        stop = m + 40
+        tail = sum(x**j / math.factorial(j) for j in range(m + 1, stop)) + 2 * x**stop / math.factorial(stop)
+        bound = first * (m + 2) / (m + 2 - x)
+        assert tail <= bound <= Fraction(105, 100) * u
+        assert abs(first / u - 1) < 1e-12  # theta_m is where the first neglected term reaches u
+
+    def test_scalar_at_theta(self):
+        for x in (_TAYLOR_THETA, -_TAYLOR_THETA, 2.0 * _TAYLOR_THETA):
+            assert matrix_exponential([[x]])[0, 0] == pytest.approx(math.exp(x), rel=3 * np.finfo(float).eps, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [0.5, 4.0, 64.0])
+    def test_dyadic_nilpotent_is_exact(self, scale):
+        m = scale * np.eye(4, k=1)  # index 4, ||m|| = scale: no squaring, then 3 and 7 squarings
+        assert np.array_equal(matrix_exponential(m), _nilpotent_exponential(m))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_nilpotent_has_no_truncation_error(self, n):
+        m = np.triu(np.random.default_rng(n).normal(size=(n, n)), 1)  # index <= 4
+        for norm in (0.1, 2.0, 50.0):
+            a = m * (norm / spectral_norm(m))
+            exact = _nilpotent_exponential(a)
+            assert np.allclose(matrix_exponential(a), exact, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_stack_uses_no_solve_or_inverse(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exponential kernel must not solve or invert")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        rng = np.random.default_rng(9)
+        m = rng.normal(size=(5, 5))
+        t = np.linspace(0.1, 20.0, 30)
+        stack = _expm_core(m * t[:, None, None], t * spectral_norm(m))
+        for k in (0, 17, 29):
+            assert np.array_equal(stack[k], matrix_exponential(m * t[k]))
 
 
 class TestLyapunov:

@@ -24,7 +24,7 @@ from npdg import (
     verify_bound,
 )
 from npdg.families import FamilyParams, family_x0, generate_family
-from npdg.linalg import _PADE13_THETA, matrix_exponential, spectral_norm
+from npdg.linalg import _TAYLOR_THETA, matrix_exponential, spectral_norm
 from npdg.simulate import _STACK_ENTRIES, _margins
 
 from conftest import SCALAR_AC_NASH, SCALAR_AC_POT, SCALAR_D, random_hurwitz
@@ -82,7 +82,7 @@ class TestStackedExponential:
         ac = random_hurwitz(rng, n, margin=1.0)
         x0 = rng.normal(size=n)
         grid = np.linspace(0.0, 50.0, 201)
-        assert grid[-1] * spectral_norm(ac) > 2**3 * _PADE13_THETA  # several squaring depths
+        assert grid[-1] * spectral_norm(ac) > 2**3 * _TAYLOR_THETA  # several squaring depths
         if n == 40:
             assert grid.size - 1 > _STACK_ENTRIES // n**2  # more than one block
         self._assert_pointwise_exact(ac, x0, grid)
