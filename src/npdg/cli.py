@@ -348,6 +348,8 @@ _HANDLERS = {
 def cli_main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if not (0 < getattr(args, "tol", 1.0) < math.inf and getattr(args, "max_iter", 1) >= 1):  # NaN fails too
+            _parser().error(f"--tol must be finite and > 0 and --max-iter >= 1, got {args.tol!r} and {args.max_iter!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

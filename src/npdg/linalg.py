@@ -40,8 +40,9 @@ def is_hurwitz(m, margin: float = 0.0) -> bool:
     return max_real_eigenvalue(m) < -margin
 
 
-# Newton sign-function steps allowed before a Lyapunov solve gives up, and
-# the 1-norm distance from the limit sign matrix that ends the iteration.
+# Newton sign-function steps allowed before a Lyapunov solve (or the CARE's
+# Hamiltonian iteration) gives up, and the 1-norm distance from the limit sign
+# matrix (for the CARE: the relative 1-norm step) that ends the iteration.
 _SIGN_MAX_ITER = 100
 _SIGN_TOL = 1e-8
 

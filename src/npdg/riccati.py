@@ -2,13 +2,14 @@
 equilibrium, plus the closed-loop system matrices they induce.
 
 The single-agent continuous-time algebraic Riccati equation is solved by
-Newton iteration, started from a stabilizing gain obtained by eigenvalue
-shifting. The coupled equations of the N-player game are solved by
+the matrix sign function of its Hamiltonian, which needs no stabilizing
+start, with Newton steps only while the residual is above the tolerance.
+The coupled equations of the N-player game are solved by
 simultaneous policy iteration (the Lyapunov iterations of Li & Gajic,
 1995), of which Newton's method is the one-player case: every sweep
 evaluates all players' costs under the shared closed loop with one stacked
 Lyapunov solve and moves every gain to its player's best response. Both
-iterations carry P, not the gains: from per-game constants formed once,
+solvers work on P, not the gains: from per-game constants formed once,
 ``_step`` gives every player's residual, the next closed loop and the next
 right-hand sides. Fixed points satisfy the player-wise stationarity
 residual of ``coupled_residuals``, the solver-independent oracle.
@@ -30,10 +31,10 @@ from .errors import (
     SolverError,
 )
 from .games import GameSpec, PotentialSpec, aggregate_inputs
-from .linalg import frobenius_norm, is_hurwitz, max_real_eigenvalue, solve_lyapunov
+from .linalg import _SIGN_MAX_ITER, _SIGN_TOL, frobenius_norm, is_hurwitz, solve_lyapunov
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER_CARE = 50
+DEFAULT_MAX_ITER_CARE = 3  # Newton steps after the Hamiltonian sign function
 DEFAULT_MAX_ITER_COUPLED = 200
 DIVERGENCE_GUARD = 1e12
 
@@ -131,7 +132,7 @@ def care_residual(A, B, Q, R, P) -> float:
 
 
 def _stabilizing_gain(A, B) -> np.ndarray:
-    """A gain K with A - BK Hurwitz, via shifted-Lyapunov construction.
+    """A gain K with A - BK Hurwitz for a non-Hurwitz A, via shifted-Lyapunov construction.
 
     With beta above the spectral abscissa of A, the unique solution Z of
     (A + beta I) Z + Z (A + beta I)' = 2 B B' is positive definite for a
@@ -140,9 +141,6 @@ def _stabilizing_gain(A, B) -> np.ndarray:
     times before giving up.
     """
     n = A.shape[0]
-    m = B.shape[1]
-    if max_real_eigenvalue(A) < 0:
-        return np.zeros((m, n))
     if not np.any(B):
         raise NotStabilizableError("system matrix is not Hurwitz and the input matrix is zero")
     beta = frobenius_norm(A) + 0.5
@@ -161,46 +159,51 @@ def _stabilizing_gain(A, B) -> np.ndarray:
 
 
 def _newton_care(A, B, Q, R, tol):
-    """Newton iteration for the stabilizing CARE solution: ``_step`` with one player.
+    """Stabilizing CARE solution from the sign of the Hamiltonian H = [[A, -S], [-Q, -A']].
 
-    Returns (P, spectral residual, iterations). Iterates until the residual
-    drops well below ``tol`` or stops improving (quadratic convergence
-    normally lands near machine precision). The loop is steered by the
-    Frobenius norm, which upper-bounds the reported spectral norm.
+    Returns (P, spectral residual, steps). The scaled Newton sign iteration
+    of ``solve_lyapunov`` runs on H to a relative 1-norm step of _SIGN_TOL;
+    [I; P] spans the null space of Z = sign(H) + I (Roberts 1980; Byers
+    1987), so P solves [Z12; Z22] P = -[Z11; Z21] by least squares. While
+    the residual is above ``tol``, up to DEFAULT_MAX_ITER_CARE Newton steps
+    follow, one Lyapunov solve on ``_step``'s next data each; ``steps``
+    counts sign and Newton steps. Eigenvalues of H on the imaginary axis, or
+    a stable subspace that is not a graph, raise NotStabilizableError.
     """
     consts = _constants(A, [Q], [B], lambda i, j: R)
-    k = _stabilizing_gain(A, B)
-    f = A - B @ k
-    w = Q + k.T @ R @ k
-    target = 1e-4 * tol
-    best_p = None
-    best_res = best_norm = np.inf
-    prev_res = np.inf
-    stalled = 0
-    iterations = 0
-    for iterations in range(1, DEFAULT_MAX_ITER_CARE + 1):
-        p = solve_lyapunov(f, w)
-        res_mat, norms, f, rhs = _step(consts, p[None])
-        w = rhs[0]
-        res = frobenius_norm(res_mat)
-        if res < best_res:
-            best_p, best_res, best_norm = p, res, float(norms[0])
-        if res <= target:
+    n = A.shape[0]
+    z = np.block([[A, -consts[2][0]], [-consts[1][0], -A.T]])
+    for steps in range(1, _SIGN_MAX_ITER + 1):
+        try:
+            zinv = np.linalg.inv(z)
+        except np.linalg.LinAlgError as exc:
+            raise NotStabilizableError(f"Hamiltonian sign iteration failed: {exc}") from exc
+        c = np.sqrt(np.sqrt(np.vdot(z, z) / np.vdot(zinv, zinv)))  # sqrt(||Z||_F / ||Z^-1||_F)
+        z, prev = (0.5 / c) * z + (0.5 * c) * zinv, z
+        if np.abs(z - prev).sum(axis=0).max() <= _SIGN_TOL * np.abs(z).sum(axis=0).max():
             break
-        stalled = stalled + 1 if res >= prev_res else 0
-        if stalled >= 2:  # rounding floor reached
+    else:
+        raise NotStabilizableError(f"Hamiltonian sign iteration failed: no convergence in {_SIGN_MAX_ITER} steps")
+    z[np.diag_indices(2 * n)] += 1.0
+    p, _, rank, _ = np.linalg.lstsq(z[:, n:], -z[:, :n], rcond=None)
+    if rank < n:
+        raise NotStabilizableError("stable invariant subspace of the Hamiltonian is not a graph")
+    p = 0.5 * (p + p.T)
+    for newton in range(DEFAULT_MAX_ITER_CARE + 1):
+        _, norms, ac, rhs = _step(consts, p[None])
+        if norms[0] <= tol or newton == DEFAULT_MAX_ITER_CARE:
             break
-        prev_res = res
-    return best_p, best_norm, iterations
+        p = solve_lyapunov(ac, rhs[0])
+    return p, float(norms[0]), steps + newton
 
 
 @_solver_boundary
 def solve_care(A, B, Q, R, tol: float = DEFAULT_TOL) -> RiccatiSolution:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
-    Raises NotStabilizableError if no stabilizing gain exists (or the
-    closed loop fails the eigenvalue check) and MaxIterationsError if the
-    residual tolerance is not reached within the budget.
+    Raises NotStabilizableError if no stabilizing solution is found (or
+    the closed loop fails the eigenvalue check) and MaxIterationsError if
+    the residual tolerance is not reached within the Newton budget.
     """
     A = _as_square(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -208,10 +211,12 @@ def solve_care(A, B, Q, R, tol: float = DEFAULT_TOL) -> RiccatiSolution:
     R = _as_square(R, "R")
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"B must have {A.shape[0]} rows, got {B.shape}")
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
     p, res, iterations = _newton_care(A, B, Q, R, tol)
-    if p is None or res > tol:
-        raise MaxIterationsError(f"CARE residual {res:.3e} above tolerance {tol:.3e} after {iterations} iterations")
+    if res > tol:
+        raise MaxIterationsError(f"CARE residual {res:.3e} above tolerance {tol:.3e} after {iterations} kernel steps")
     loop = A - B @ np.linalg.solve(R, B.T @ p)
     if not is_hurwitz(loop, margin=0.0):
         raise NotStabilizableError("computed solution does not stabilize the closed loop")
@@ -264,6 +269,8 @@ def solve_coupled_riccati(
     NotStabilizableError, so a returned solution always comes from a
     stabilizing gain set.
     """
+    if not (0 < tol < np.inf and max_iter >= 1):  # NaN fails too
+        raise ValueError(f"tol must be finite and > 0 and max_iter >= 1, got tol={tol!r}, max_iter={max_iter!r}")
     n = game.n
     n_players = game.n_players
     A = game.A

@@ -96,6 +96,22 @@ class TestExitCodes:
         assert cli_main(["solve", str(path)]) == EXIT_SOLVER
         assert "solver error: linear solve failed: Singular matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--max-iter", "0"], ["--max-iter", "-3"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]],
+    )
+    def test_unusable_solver_flag_is_usage_error(self, pair_file, capsys, monkeypatch, flag):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr("npdg.riccati._step", no_solve)
+        sweep = ["sweep", "--n", "1", "--players", "2", "--grid", "0.05"]
+        for argv in (["solve", pair_file], ["distance", pair_file], ["simulate", pair_file], ["verify", pair_file], sweep):
+            assert cli_main([*argv, *flag]) == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--tol must be finite and > 0 and --max-iter >= 1" in captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli_main(["validate", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
 

@@ -38,6 +38,19 @@ def _spd(rng, m):
     return x @ x.T + m * np.eye(m)
 
 
+def _kleinman(a, b, q, r):
+    """Newton-Kleinman iteration from the zero gain (A Hurwitz) on scipy's Lyapunov solver."""
+    s = b @ np.linalg.solve(r, b.T)
+    p = sla.solve_continuous_lyapunov(a.T, -q)
+    for _ in range(50):
+        nxt = sla.solve_continuous_lyapunov((a - s @ p).T, -(q + p @ s @ p))
+        done = np.linalg.norm(nxt - p) <= 1e-15 * np.linalg.norm(nxt)
+        p = nxt
+        if done:
+            break
+    return p
+
+
 def _assert_matches_scipy(a, b, q, r):
     ref = sla.solve_continuous_are(a, b, q, r)
     scale = np.linalg.norm(ref, 2)
@@ -82,7 +95,8 @@ class TestCareOracle:
                 marks=pytest.mark.xfail(
                     raises=SolverError,
                     strict=True,
-                    reason="||P|| about 5.6e7: the sign-function Lyapunov solve does not converge (ROADMAP item 3)",
+                    reason="||P|| about 5.6e7: the Hamiltonian sign kernel gets P within 3e-10 of scipy, but its "
+                    "residual (1.5; scipy's 1.4) cannot meet the absolute tol of 0.056 (ROADMAP item 3)",
                 ),
             ),
         ],
@@ -144,6 +158,64 @@ class TestCare:
     def test_not_stabilizable(self):
         with pytest.raises(NotStabilizableError):
             solve_care([[1.0]], [[0.0]], [[1.0]], [[1.0]])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0.0, 1.0], [-1.0, 0.0]],  # the second sign step is singular
+            sla.block_diag([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 2**0.5], [-(2**0.5), 0.0]]),  # runs out of steps
+        ],
+    )
+    def test_imaginary_axis_hamiltonian_not_stabilizable(self, a):
+        # undamped oscillators, no input: the Hamiltonian has eigenvalues on the imaginary axis
+        n = len(a)
+        with pytest.raises(NotStabilizableError, match="Hamiltonian sign iteration failed"):
+            solve_care(a, np.zeros((n, 1)), np.eye(n), [[1.0]])
+
+    def test_unstable_uncontrollable_mode_not_stabilizable(self):
+        # the stable invariant subspace of the Hamiltonian is not a graph over the states
+        with pytest.raises(NotStabilizableError):
+            solve_care(np.diag([1.0, -1.0]), [[0.0], [1.0]], np.eye(2), [[1.0]])
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_family_care_makes_no_lyapunov_or_start_solve(self, monkeypatch, shift):
+        # A + I is not Hurwitz: the Newton solver needed a stabilizing start there
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_care called a Lyapunov or start solve")
+
+        monkeypatch.setattr(riccati, "solve_lyapunov", forbidden)
+        monkeypatch.setattr(riccati, "_stabilizing_gain", forbidden)
+        for seed in range(5):
+            game, pot = generate_family(FamilyParams(n_per_block=2, n_players=2, delta=0.05, seed=seed))
+            sol = solve_care(game.A + shift * np.eye(game.n), pot.Bp, pot.Qp, pot.Rp)
+            assert sol.residual_norms[0] <= 1e-9
+            assert np.array_equal(sol.P[0], sol.P[0].T)
+
+    def test_newton_step_refines_a_badly_scaled_care(self, monkeypatch):
+        # Bp scaled by 1e3: the sign solution's residual is above 1e-9 and Newton steps bring it under
+        game, pot = generate_family(FamilyParams(n_per_block=3, n_players=2, delta=0.05, seed=0))
+        a, b = game.A, 1e3 * pot.Bp
+        calls = []
+        monkeypatch.setattr(riccati, "solve_lyapunov", lambda f, w: calls.append(w.shape) or solve_lyapunov(f, w))
+        sol = solve_care(a, b, pot.Qp, pot.Rp)
+        assert 1 <= len(calls) <= riccati.DEFAULT_MAX_ITER_CARE
+        ref = sla.solve_continuous_are(a, b, pot.Qp, pot.Rp)
+        assert np.linalg.norm(sol.P[0] - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-1])
+    def test_matches_newton_kleinman_on_criterion_5_families(self, delta):
+        combos = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
+        for seed in range(100):
+            nb, players = combos[seed % len(combos)]
+            game, pot = generate_family(FamilyParams(n_per_block=nb, n_players=players, delta=delta, seed=seed))
+            ref = _kleinman(game.A, pot.Bp, pot.Qp, pot.Rp)
+            p = solve_care(game.A, pot.Bp, pot.Qp, pot.Rp).P[0]
+            assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(ref), f"seed {seed}"
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_unusable_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_care([[0.0]], [[1.0]], [[1.0]], [[1.0]], tol=tol)
 
 
 class TestCoupled:
@@ -253,6 +325,13 @@ class TestCoupled:
         game, _ = pair
         with pytest.raises(MaxIterationsError):
             solve_coupled_riccati(game, max_iter=1)
+
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 200), (-1.0, 200), (np.nan, 200), (np.inf, 200), (1e-9, 0), (1e-9, -3)])
+    def test_rejects_unusable_budget(self, pair, monkeypatch, tol, max_iter):
+        game, _ = pair
+        monkeypatch.setattr(riccati, "solve_lyapunov", None)  # rejected before any solve
+        with pytest.raises(ValueError, match="tol must be finite and > 0 and max_iter >= 1"):
+            solve_coupled_riccati(game, tol=tol, max_iter=max_iter)
 
     def test_never_returns_non_stabilizing(self):
         game, _ = generate_family(FamilyParams(n_per_block=1, n_players=3, delta=2.0, seed=59))
